@@ -13,11 +13,13 @@ throughput.
 **Part 2 — op construction.**  With scheduling O(N log N), per-op Python-object
 construction became the next hot path: one ``SimOp`` dataclass per operation plus
 per-subgroup strategy-builder overhead dominates ``simulate_job`` beyond ~10k
-subgroups.  The second section measures end-to-end ``simulate_job`` (resolve ->
-build ops -> run -> materialise the schedule) under the eager ``objects`` backend
-(the pre-opbatch path, still selectable) and the array-batched ``batch`` backend,
-and asserts the acceptance criterion: >= 2x end-to-end throughput at 10k subgroups
-for the default strategy.  The two backends are byte-identical by construction
+subgroups.  The second section measures one end-to-end iteration (build ops ->
+run -> materialise the schedule) on the heap engine, built by the eager
+``SimOp`` builders (``build_iteration`` + ``SimEngine.run``, the pre-opbatch
+path, kept as a test oracle) and by the array-batched row builders
+(``prepare_simulation`` + ``SimEngine.run_batch``), and asserts the acceptance
+criterion: >= 2x end-to-end throughput at 10k subgroups for the default
+strategy.  The two builders are byte-identical by construction
 (``tests/test_opbatch_equivalence.py``), which this script spot-checks via makespans.
 
 **Part 3 — scheduler kernels.**  Beyond ~100k subgroups per scenario the heap
@@ -44,11 +46,13 @@ cross-checks every makespan and fully compares the smallest schedule op by op.
 pipeline per grid point even though every point of a typical figure grid shares
 one DAG shape.  The fourth section runs a 256-scenario ``cpu_cores_per_gpu``
 grid (a fig14-style sweep: same topology per point, different durations)
-through ``SweepRunner`` in ``sweep_mode="scenario"`` and ``sweep_mode="batch"``
-(the shape-compiled path of ``repro.sim.shapebatch`` /
-``repro.sweep.batching``), cross-checks that every scenario's
-``(params, config_hash, value)`` projection is byte-identical between the two
-modes, and reports sweep throughput in scenarios/sec.  It asserts the
+through ``SweepRunner`` twice: once per scenario, each scheduled on the heap
+engine (``_heap_training_report``, a non-batchable twin of ``run_training``),
+and once with ``run_training`` itself, which the runner dispatches as one
+scenario group stacked into the shape-compiled path of
+``repro.sim.shapebatch`` / ``repro.sweep.batching``.  It cross-checks that
+every scenario's ``(params, config_hash, value)`` projection is byte-identical
+between the two, and reports sweep throughput in scenarios/sec.  It asserts the
 acceptance criterion: >= 3x sweep throughput on the shared-shape grid, and
 writes the measurements to ``BENCH_sweep_throughput.json``.
 
@@ -110,11 +114,14 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.runtime import ExecutionPolicy  # noqa: E402
 from repro.sim.engine import SimEngine, standard_resources  # noqa: E402
 from repro.sim.ops import OpKind, SimOp  # noqa: E402
 from repro.training.config import TrainingJobConfig  # noqa: E402
-from repro.training.simulation import simulate_job  # noqa: E402
+from repro.training.simulation import (  # noqa: E402
+    build_iteration,
+    finalize_simulation,
+    prepare_simulation,
+)
 
 SUBGROUP_COUNTS = (50, 125, 250, 500, 1250)
 OPS_PER_SUBGROUP = 4  # d2h, cpu update, h2d, gpu compute
@@ -148,8 +155,8 @@ SWEEP_SCENARIOS = int(os.environ.get("BENCH_SWEEP_SCENARIOS", "256"))
 SWEEP_REPEATS = int(os.environ.get("BENCH_SWEEP_REPEATS", "3"))
 # 20B at 70M-parameter subgroups: dense enough that the per-scenario path's
 # heap scheduling and Python-level breakdown queries dominate, small enough
-# that the DAG stays below the auto vector threshold (the realistic regime —
-# above it both modes ride the same vector kernel per scenario).
+# that the DAG stays below 50k ops, where the per-scenario baseline used to
+# run on the heap.
 SWEEP_BASE = {
     "model": "20B",
     "strategy": "deep-optimizer-states",
@@ -320,20 +327,29 @@ def _time_heap(ops) -> tuple[float, float]:
 # ----------------------------------------------------------- simulate_job backends
 
 
+def _simulate_on_heap(job, backend: str):
+    """One iteration of ``job`` on the heap engine, its ops built eagerly
+    (``"objects"``) or as op-batch rows (``"batch"``)."""
+    engine = SimEngine(name=f"{job.model.name}-{job.strategy.name}")
+    standard_resources(engine)
+    if backend == "objects":
+        build_iteration(engine, job, 0)
+        return engine.run()
+    return engine.run_batch(prepare_simulation(job, 1).batch)
+
+
 def _time_simulate(job, backend: str, repeats: int = 2) -> tuple[float, float, int]:
-    """Best-of-N end-to-end simulate_job time, the makespan, and the op count."""
+    """Best-of-N end-to-end simulation time, the makespan, and the op count."""
     best = float("inf")
     makespan = 0.0
     num_ops = 0
-    # Pin the scheduler to "heap" so Part 2 isolates op construction: with the
-    # "auto" default, the large grids would flip to the vector kernel mid-sweep.
-    policy = ExecutionPolicy(op_backend=backend, scheduler="heap")
+    # Both builders schedule on the heap, so Part 2 isolates op construction.
     for _ in range(repeats):
         begin = time.perf_counter()
-        result = simulate_job(job, iterations=1, policy=policy)
+        schedule = _simulate_on_heap(job, backend)
         best = min(best, time.perf_counter() - begin)
-        makespan = result.schedule.makespan
-        num_ops = len(result.schedule.ops)
+        makespan = schedule.makespan
+        num_ops = len(schedule.ops)
     return best, makespan, num_ops
 
 
@@ -476,12 +492,38 @@ def _scenario_projection(result) -> list[dict]:
     ]
 
 
+def _heap_training_report(**params):
+    """``run_training`` with its schedule computed on the heap engine.
+
+    No batching adapter is registered for it, so ``SweepRunner`` dispatches it
+    one scenario at a time: the per-scenario baseline of Part 4.
+    """
+    from repro.common.errors import OutOfMemoryError
+    from repro.experiments.base import _training_trainer
+
+    trainer = _training_trainer(**params)
+    try:
+        job = trainer.config.resolve()
+    except OutOfMemoryError as exc:
+        return trainer.oom_report(exc)
+    iterations = max(1, min(trainer.simulated_iterations, trainer.config.iterations))
+    prepared = prepare_simulation(job, iterations)
+    engine = SimEngine(name=f"{job.model.name}-{job.strategy.name}")
+    standard_resources(engine)
+    schedule = engine.run_batch(prepared.batch)
+    return trainer.report_from_simulation(
+        job, finalize_simulation(prepared, schedule, scheduler="heap")
+    )
+
+
 def bench_sweep_throughput() -> None:
     """Part 4: per-scenario vs shape-batched sweep on a shared-shape grid."""
     import json
 
     from repro.experiments.base import run_training
     from repro.sweep import SweepRunner, SweepSpec
+
+    workers = {"scenario": _heap_training_report, "batch": run_training}
 
     spec = SweepSpec.build(
         {"cpu_cores_per_gpu": list(range(2, 2 + SWEEP_SCENARIOS))}, SWEEP_BASE
@@ -491,7 +533,7 @@ def bench_sweep_throughput() -> None:
     timings: dict[str, float] = {}
     projections: dict[str, list[dict]] = {}
     for mode in ("scenario", "batch"):
-        runner = SweepRunner(run_training, use_cache=False, sweep_mode=mode)
+        runner = SweepRunner(workers[mode], use_cache=False)
         runner.run(warmup)  # absorb one-time import/preset costs
         best = float("inf")
         for _ in range(SWEEP_REPEATS):

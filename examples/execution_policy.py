@@ -3,57 +3,58 @@
 
 Shows the four-level resolution order (explicit argument > active
 ``repro.configure(...)`` context > ``REPRO_*`` environment variables >
-defaults), automatic scheduler selection (``scheduler="auto"`` flips to the
-vector kernel above an op-count threshold), and the ``resolved_policy`` record
-on every simulation result — so you can always introspect what actually ran.
+defaults), the ``sources`` record of which level decided each field, and the
+``resolved_policy`` record on every simulation result.  How a simulation is
+scheduled is not part of the policy: every run below lands on the vector
+kernel, chosen by the code.
 
 Run with:  python examples/execution_policy.py
 """
 
 import os
 
-from repro import ExecutionPolicy, TrainingJobConfig, configure, simulate_job
+from repro import ExecutionPolicy, TrainingJobConfig, configure, simulate_job, simulate_pipeline
+from repro.middleware import middleware_metrics
 
 
-def show(result, label: str) -> None:
-    resolved = result.resolved_policy
-    print(f"{label:<34} requested={resolved.policy.scheduler:<6} "
-          f"ran={resolved.scheduler:<6} op_backend={resolved.op_backend:<7} "
-          f"ops={resolved.op_count:>5}  makespan={result.schedule.makespan:.3f}s")
+def show(label: str, policy: ExecutionPolicy) -> None:
+    print(f"{label:<22} pipeline_schedule={policy.pipeline_schedule:<5} "
+          f"(source: {policy.sources['pipeline_schedule']:<7}) "
+          f"middleware={policy.middleware}")
 
 
 def main() -> None:
+    # 1. Defaults, then each level above them in turn.
+    show("defaults", ExecutionPolicy.resolve())
+    os.environ["REPRO_PIPELINE_SCHEDULE"] = "gpipe"
+    try:
+        show("environment", ExecutionPolicy.resolve())
+        with configure(pipeline_schedule="zb", middleware="timing"):
+            show("configure context", ExecutionPolicy.resolve())
+            show("explicit argument", ExecutionPolicy.resolve(pipeline_schedule="1f1b"))
+            # Consumers resolve the same way: this pipeline picks up "zb".
+            result = simulate_pipeline(stages=4, microbatches=8)
+            print(f"{'':<22} simulate_pipeline ran {result.schedule!r} on the "
+                  f"{result.resolved.scheduler} kernel ({result.op_count} ops)")
+    finally:
+        del os.environ["REPRO_PIPELINE_SCHEDULE"]
+    print()
+
+    # 2. Every simulation result records what ran.  The timing middleware on
+    #    the policy wraps the engine seam; it observes, never changes, results.
     job = TrainingJobConfig(
         model="7B", strategy="deep-optimizer-states", check_memory=False
     ).resolve()
-
-    # 1. Defaults: op_backend="batch", scheduler="auto".  This job is far below
-    #    the auto threshold, so the heap scheduler runs.
-    print("Resolved defaults:", ExecutionPolicy.resolve().as_dict())
+    for label, policy in (("ambient policy", None),
+                          ("timed policy", ExecutionPolicy(middleware=("timing",)))):
+        result = simulate_job(job, iterations=1, policy=policy)
+        resolved = result.resolved_policy
+        print(f"{label:<22} ran={resolved.scheduler} ops={resolved.op_count} "
+              f"makespan={result.schedule.makespan:.3f}s")
+    print(f"{'':<22} engine runs timed so far (the pipeline above, the timed "
+          f"job): {int(middleware_metrics()['engine']['count'])}")
     print()
-    show(simulate_job(job, iterations=1), "defaults (auto -> heap)")
-
-    # 2. An explicit policy is the strongest level: nothing else is consulted.
-    policy = ExecutionPolicy(scheduler="vector")
-    show(simulate_job(job, iterations=1, policy=policy), "explicit policy (vector)")
-
-    # 3. A configure() context scopes overrides to a block — here we drop the
-    #    auto threshold to 1 op, so "auto" now selects the vector kernel.
-    with configure(auto_vector_threshold=1):
-        show(simulate_job(job, iterations=1), "configure context (auto -> vector)")
-
-    # 4. Environment variables sit below contexts and arguments; schedules are
-    #    byte-identical in every case, so the choice is purely about speed.
-    os.environ["REPRO_SIM_SCHEDULER"] = "heap"
-    try:
-        show(simulate_job(job, iterations=1), "environment (heap)")
-    finally:
-        del os.environ["REPRO_SIM_SCHEDULER"]
-
-    print()
-    print("Every run above produced the same schedule — the policy decides how")
-    print("fast it is computed, never what it contains.  Inspect the resolution")
-    print("any time with:  python -m repro config")
+    print("Inspect the resolution any time with:  python -m repro config")
 
 
 if __name__ == "__main__":

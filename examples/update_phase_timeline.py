@@ -11,11 +11,15 @@ Run with:  python examples/update_phase_timeline.py
 """
 
 from repro.core.scheduler import build_cpu_only_plan, build_update_plan
-from repro.core.sim_executor import build_blocking_offload_update, build_interleaved_update
+from repro.core.sim_executor import (
+    build_blocking_offload_update_rows,
+    build_interleaved_update_rows,
+)
 from repro.hardware.contention import HostContentionModel
 from repro.hardware.presets import JLSE_H100_NODE
 from repro.hardware.throughput import ThroughputProfile
 from repro.sim.engine import SimEngine, standard_resources
+from repro.sim.opbatch import OpBatch
 
 NUM_SUBGROUPS = 8
 SUBGROUP_PARAMS = 100_000_000
@@ -26,14 +30,16 @@ RESOURCES = ("cpu", "gpu.compute", "pcie.h2d", "pcie.d2h")
 def simulate(strategy: str, profile):
     engine = SimEngine()
     standard_resources(engine)
+    batch = OpBatch()
     sizes = {i: SUBGROUP_PARAMS for i in range(NUM_SUBGROUPS)}
     if strategy == "twinflow":
         plan = build_cpu_only_plan(NUM_SUBGROUPS, static_residents={0, 1})
-        ops = build_blocking_offload_update(engine, profile, plan, sizes)
+        ops = build_blocking_offload_update_rows(batch, profile, plan, sizes)
     else:
         plan = build_update_plan(NUM_SUBGROUPS, 2, static_residents={6, 7})
-        ops = build_interleaved_update(engine, profile, plan, sizes, contention=HostContentionModel())
-    schedule = engine.run()
+        ops = build_interleaved_update_rows(batch, profile, plan, sizes,
+                                            contention=HostContentionModel())
+    schedule = engine.run_vector(batch)
     ready = max(schedule.by_id(op).end for op in ops.params_ready_ops)
     return plan, schedule, ready
 

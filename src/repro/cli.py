@@ -4,7 +4,7 @@ Usage (after ``pip install -e .``)::
 
     python -m repro list-presets
     python -m repro config
-    python -m repro --scheduler vector config --json
+    python -m repro --trace config --json
     python -m repro --middleware timing,logging config --json
     python -m repro compare --model 20B --strategies zero3-offload deep-optimizer-states
     python -m repro experiment fig7
@@ -15,7 +15,6 @@ Usage (after ``pip install -e .``)::
     python -m repro pipeline --schedule zb --stages 8 --microbatches 16
     python -m repro pipeline --list-schedules
     python -m repro sweep --worker pipeline --strategies gpipe,1f1b,zb --axis microbatches=4,8,16
-    python -m repro sweep --models 20B --strategies deep-optimizer-states --scheduler vector
     python -m repro sweep --executor cluster --workers 2 --bind 127.0.0.1:7931 --progress
     python -m repro worker --connect 127.0.0.1:7931 --retry-for 60
     python -m repro serve --bind 127.0.0.1:7940
@@ -26,12 +25,10 @@ Usage (after ``pip install -e .``)::
 
 The CLI is a thin wrapper over the public API so that the headline results can be
 regenerated without writing any Python.  Execution policy is handled globally:
-``--scheduler`` / ``--op-backend`` / ``--middleware`` before the subcommand
-apply to *every* command by entering a ``repro.configure`` context around
-dispatch — the resolved middleware chain also wraps the subcommand itself at
-the CLI seam (:mod:`repro.middleware`) — (subcommand
-flags such as ``sweep --scheduler`` stay available and win, being explicit
-arguments), and ``repro config`` prints the fully resolved
+``--middleware`` / ``--trace`` / ``--trace-out`` before the subcommand apply
+to *every* command by entering a ``repro.configure`` context around dispatch
+— the resolved middleware chain also wraps the subcommand itself at the CLI
+seam (:mod:`repro.middleware`) — and ``repro config`` prints the fully resolved
 :class:`~repro.runtime.ExecutionPolicy` with each field's source.  ``sweep``
 exposes the scenario-sweep subsystem directly: any
 :func:`repro.experiments.base.run_training` keyword (or, with ``--worker
@@ -71,15 +68,7 @@ from repro.middleware import (
 )
 from repro.obs.trace import tracing_enabled
 from repro.model.presets import list_model_presets
-from repro.runtime import (
-    EXECUTOR_CHOICES,
-    OP_BACKENDS,
-    SCHEDULER_CHOICES,
-    SWEEP_MODE_CHOICES,
-    ExecutionPolicy,
-    configure,
-    resolution_report,
-)
+from repro.runtime import EXECUTOR_CHOICES, ExecutionPolicy, configure, resolution_report
 from repro.sweep import SweepRunner, SweepSpec, default_cache_dir
 from repro.sweep.cache import cache_stats, evict_cache, format_stats
 from repro.training.metrics import format_table
@@ -129,9 +118,6 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default=None,
                         help="result cache directory (default: ~/.cache/repro/sweeps "
                              "or $REPRO_SWEEP_CACHE_DIR)")
-    parser.add_argument("--scheduler", choices=SCHEDULER_CHOICES, default=None,
-                        help="simulation scheduler backend (byte-identical schedules; "
-                             "'auto' picks the vector kernel for large scenarios)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,16 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # Global execution-policy flags: apply to every subcommand by entering a
     # repro.configure context around dispatch.  Distinct dests keep subcommand
-    # defaults (e.g. `sweep --scheduler`) from clobbering them — a classic
+    # flags (e.g. `compare --trace-out`) from clobbering them — a classic
     # argparse shared-dest pitfall.
-    parser.add_argument("--scheduler", dest="global_scheduler",
-                        choices=SCHEDULER_CHOICES, default=None,
-                        help="simulation scheduler backend for every command "
-                             "('auto' picks the vector kernel for large scenarios)")
-    parser.add_argument("--op-backend", dest="global_op_backend",
-                        choices=OP_BACKENDS, default=None,
-                        help="op-construction backend for every command "
-                             "(byte-identical schedules; 'batch' is the fast default)")
     parser.add_argument("--middleware", dest="global_middleware", default=None,
                         metavar="SPEC[,SPEC...]",
                         help="middleware chain for every command, e.g. "
@@ -207,9 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(comma-separated values become tuples)")
     experiment.add_argument("--jobs", type=int, default=None,
                             help="worker processes for the experiment's internal sweeps")
-    experiment.add_argument("--scheduler", choices=SCHEDULER_CHOICES, default=None,
-                            help="simulation scheduler backend for the experiment's "
-                                 "internal sweeps (byte-identical schedules)")
 
     pipeline = subparsers.add_parser(
         "pipeline", help="simulate one pipeline-parallel iteration (gpipe/1f1b/zb)"
@@ -236,8 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "strategies, then exit")
     pipeline.add_argument("--json", action="store_true", dest="as_json",
                           help="emit the result as JSON")
-    pipeline.add_argument("--scheduler", choices=SCHEDULER_CHOICES, default=None,
-                          help="simulation scheduler backend (byte-identical schedules)")
     pipeline.add_argument("--trace-out", default=None, dest="trace_out", metavar="PATH",
                           help="export the simulated schedule as Chrome trace-event "
                                "JSON (one track per stage/link resource; open in "
@@ -254,12 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "models for real (run_numeric_training), 'pipeline' "
                             "simulates pipeline-parallel iterations (run_pipeline; "
                             "--strategies becomes the schedule axis)")
-    sweep.add_argument("--executor", default=None,
-                       choices=EXECUTOR_CHOICES + ("training", "numeric"),
+    sweep.add_argument("--executor", default=None, choices=EXECUTOR_CHOICES,
                        help="dispatch backend: 'serial', 'pool' (local processes), "
                             "'cluster' (TCP to repro worker daemons) or 'auto' "
-                            "(pool when --jobs > 1; the default).  'training'/"
-                            "'numeric' are deprecated aliases for --worker")
+                            "(pool when --jobs > 1; the default)")
     sweep.add_argument("--workers", type=int, default=None,
                        help="cluster executor: wait for this many connected "
                             "worker daemons before dispatching (default 1, "
@@ -270,17 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--lease-timeout", type=float, default=None, metavar="SECONDS",
                        help="cluster executor: task lease duration; a worker silent "
                             "for this long has its task re-queued elsewhere")
-    sweep.add_argument("--max-retries", type=int, default=None, metavar="N",
-                       help="cluster executor: re-dispatch attempts per task after "
-                            "worker failures before the sweep errors out "
-                            "(deprecated: declare --middleware retry:attempts=N "
-                            "instead; an explicit flag still wins)")
-    sweep.add_argument("--sweep-mode", choices=SWEEP_MODE_CHOICES, default=None,
-                       help="scenario execution shape: 'scenario' runs one task per "
-                            "grid point, 'batch' groups same-shape scenarios and "
-                            "schedules each group in one stacked pass "
-                            "(byte-identical results), 'auto' picks 'batch' when "
-                            "the worker supports it (the default)")
     sweep.add_argument("--progress", action="store_true",
                        help="stream one line per completed scenario (id, worker, "
                             "wall time, cache hit/miss, rate/ETA) from any executor")
@@ -302,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="KEY=VALUE",
                        help="fixed worker keyword applied to every scenario")
     sweep.add_argument("--iterations", type=int, default=4,
-                       help="training iterations (numeric executor: steps)")
+                       help="training iterations (numeric worker: steps)")
     sweep.add_argument("--json", default=None, dest="json_path",
                        help="write the structured sweep result to this JSON file")
     sweep.add_argument("--cache-stats", action="store_true",
@@ -352,7 +312,6 @@ def _cmd_config(args: argparse.Namespace) -> int:
     the tool for diagnosing exactly that — and the exit code turns non-zero.
     """
     described = resolution_report(
-        scheduler=args.global_scheduler, op_backend=args.global_op_backend,
         middleware=args.global_middleware,
         trace=args.global_trace, trace_out=args.global_trace_out,
     )
@@ -415,7 +374,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
-        scheduler=args.scheduler,
     )
     rows = [report.as_row() for report in reports.values()]
     columns = ["strategy"] + _REPORT_COLUMNS
@@ -432,16 +390,15 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         from repro.obs.export import write_schedules_trace
 
         schedules = {}
-        with configure(scheduler=args.scheduler):
-            for name in valid:
-                trainer = _training_trainer(
-                    model=args.model, strategy=name, machine=args.machine,
-                    static_gpu_fraction=args.static_gpu_fraction,
-                    microbatch_size=args.microbatch,
-                    data_parallel_degree=args.data_parallel,
-                    iterations=args.iterations,
-                )
-                schedules[name] = trainer.simulate(trainer.config.resolve()).schedule
+        for name in valid:
+            trainer = _training_trainer(
+                model=args.model, strategy=name, machine=args.machine,
+                static_gpu_fraction=args.static_gpu_fraction,
+                microbatch_size=args.microbatch,
+                data_parallel_degree=args.data_parallel,
+                iterations=args.iterations,
+            )
+            schedules[name] = trainer.simulate(trainer.config.resolve()).schedule
         path = write_schedules_trace(args.trace_out, schedules)
         print(f"schedule trace written to {path}", file=sys.stderr)
     return 0
@@ -471,18 +428,17 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         _print_registry("Pipeline schedules", SCHEDULES)
         _print_registry("Offload strategies", STRATEGIES)
         return 0
-    with configure(scheduler=args.scheduler):
-        result = simulate_pipeline(
-            schedule=args.schedule,
-            stages=args.stages,
-            microbatches=args.microbatches,
-            model=args.model,
-            machine=args.machine,
-            microbatch_size=args.microbatch_size,
-            activation_checkpointing=not args.no_activation_checkpointing,
-            **({} if args.backward_split is None
-               else {"backward_split": args.backward_split}),
-        )
+    result = simulate_pipeline(
+        schedule=args.schedule,
+        stages=args.stages,
+        microbatches=args.microbatches,
+        model=args.model,
+        machine=args.machine,
+        microbatch_size=args.microbatch_size,
+        activation_checkpointing=not args.no_activation_checkpointing,
+        **({} if args.backward_split is None
+           else {"backward_split": args.backward_split}),
+    )
     payload = result.to_dict()
     if args.trace_out is not None:
         from repro.obs.export import write_schedule_trace
@@ -514,7 +470,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             raise ConfigurationError(f"--set {key} has no value")
         kwargs[key] = values if len(values) > 1 else values[0]
     # Scoped, not configure_defaults: the override must not outlive this command.
-    with configure(jobs=args.jobs, scheduler=args.scheduler):
+    with configure(jobs=args.jobs):
         result = run_experiment(args.experiment_id, **kwargs)
     print(result.format())
     return 0
@@ -523,7 +479,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 class _ProgressPrinter:
     """One completion line per scenario, with live throughput and an ETA.
 
-    Identical for every executor and sweep mode.  Throughput counts *computed*
+    Identical for every executor.  Throughput counts *computed*
     scenarios only — cache hits return in microseconds and would otherwise
     inflate the rate the ETA of the remaining computed work is based on; hits
     are tallied separately in each line instead.
@@ -569,34 +525,18 @@ def _dispatch_event_printer(event: dict) -> None:
     print(f"[dispatch] {kind} {detail}".rstrip(), flush=True)
 
 
-def _split_sweep_executor(args: argparse.Namespace) -> tuple[str, str | None]:
-    """(worker kind, dispatch backend or None) from --worker/--executor.
+def _sweep_worker_kind(args: argparse.Namespace) -> str:
+    """The worker behind the grid: ``--worker``, else the scenario family.
 
-    ``--executor training|numeric`` predates the dispatch subsystem and named
-    the *worker*, not the backend; it keeps working as a deprecated alias so
-    existing invocations and docs do not break.  With neither flag given, the
-    default worker kind follows the resolved ``scenario_family`` policy field
-    (``$REPRO_SCENARIO_FAMILY`` / ``configure(scenario_family=...)``): the
-    ``offload`` family sweeps training jobs, ``pipeline`` sweeps schedules.
+    With no ``--worker`` flag, the worker kind follows the resolved
+    ``scenario_family`` policy field (``$REPRO_SCENARIO_FAMILY`` /
+    ``configure(scenario_family=...)``): the ``offload`` family sweeps
+    training jobs, ``pipeline`` sweeps schedules.
     """
-    worker_kind = args.worker_kind
-    backend = args.executor
-    if backend in ("training", "numeric"):
-        if worker_kind is not None and worker_kind != backend:
-            raise ConfigurationError(
-                f"--executor {backend} (deprecated alias of --worker {backend}) "
-                f"conflicts with --worker {worker_kind}"
-            )
-        print(f"note: --executor {backend} is deprecated; use --worker {backend}",
-              file=sys.stderr)
-        worker_kind = backend
-        backend = None
-    if worker_kind is None:
-        family = ExecutionPolicy.resolve(
-            env_fields=("scenario_family",)
-        ).scenario_family
-        worker_kind = "pipeline" if family == "pipeline" else "training"
-    return worker_kind, backend
+    if args.worker_kind is not None:
+        return args.worker_kind
+    family = ExecutionPolicy.resolve(env_fields=("scenario_family",)).scenario_family
+    return "pipeline" if family == "pipeline" else "training"
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -614,7 +554,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(format_stats(cache_stats(cache_dir)))
         return 0
 
-    worker_kind, executor_backend = _split_sweep_executor(args)
+    worker_kind = _sweep_worker_kind(args)
     numeric = worker_kind == "numeric"
     pipeline = worker_kind == "pipeline"
     if args.models is not None:
@@ -669,8 +609,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     executor_options: dict = {"bind": args.bind}
     if args.lease_timeout is not None:
         executor_options["lease_timeout"] = args.lease_timeout
-    if args.max_retries is not None:
-        executor_options["max_retries"] = args.max_retries
     if args.progress:
         executor_options["on_event"] = _dispatch_event_printer
     else:
@@ -694,11 +632,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         use_cache=not args.no_cache,
         cache_dir=cache_dir,
-        scheduler=args.scheduler,
-        executor=executor_backend,
+        executor=args.executor,
         workers=args.workers,
         executor_options=executor_options,
-        sweep_mode=args.sweep_mode,
         progress=_ProgressPrinter() if args.progress else None,
     )
     result = runner.run(spec)
@@ -763,7 +699,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
-        scheduler=args.scheduler,
     )
     server = ReproServer(args.bind, policy=policy)
 
@@ -863,7 +798,6 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
     overrides = {
-        "scheduler": args.global_scheduler, "op_backend": args.global_op_backend,
         "middleware": args.global_middleware,
         # --trace-out implies --trace, and the implication must land at the
         # context level: subcommands resolve their own policies, and only the

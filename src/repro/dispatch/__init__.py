@@ -62,7 +62,7 @@ def create_executor(name: str, worker, policy, **options) -> Executor:
     """Instantiate the named backend (``serial``/``pool``/``cluster``).
 
     ``options`` are backend-specific keywords (the cluster backend takes
-    ``bind``, ``min_workers``, ``lease_timeout``, ``max_retries``, ...);
+    ``bind``, ``min_workers``, ``lease_timeout``, ...);
     backends reject options they do not understand.
     """
     from repro.common.errors import ConfigurationError

@@ -20,8 +20,8 @@ Two error channels are deliberately distinct:
   Either way the sweep fails immediately at the raising scenario.
 * a worker that *dies or goes silent* is an infrastructure failure — the
   cluster backend re-queues the leased task on another worker, bounded by
-  ``max_retries``, and only raises :class:`DispatchError` when the bound is
-  exhausted.
+  the policy's ``retry:attempts=N`` middleware spec, and only raises
+  :class:`DispatchError` when the bound is exhausted.
 """
 
 from __future__ import annotations

@@ -15,8 +15,9 @@ analogue of what the pool backend pickles into its processes.
 * every assignment is a **lease**: the worker must complete it or keep the
   lease alive with heartbeats before ``lease_timeout`` expires;
 * a dropped connection or an expired lease **re-queues** the task on another
-  worker; lease grants per task are bounded by ``max_retries`` re-tries, after
-  which :class:`~repro.dispatch.base.DispatchError` propagates;
+  worker; lease grants per task are bounded by the policy's
+  ``retry:attempts=N`` middleware spec (default 2 re-tries), after which
+  :class:`~repro.dispatch.base.DispatchError` propagates;
 * results are deduplicated — first result wins — so a slow worker whose lease
   expired cannot double-deliver a task another worker re-ran;
 * a task that *raises* is an application error, not an infrastructure one: it
@@ -164,7 +165,6 @@ class ClusterExecutor(Executor):
         bind: str = "127.0.0.1:0",
         min_workers: int | None = None,
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
-        max_retries: int | None = None,
         worker_wait_timeout: float = DEFAULT_WORKER_WAIT,
         on_event: Callable[[dict], None] | None = None,
     ) -> None:
@@ -176,26 +176,14 @@ class ClusterExecutor(Executor):
             raise ConfigurationError("min_workers must be >= 1")
         if lease_timeout <= 0:
             raise ConfigurationError("lease_timeout must be positive")
-        if max_retries is None:
-            # One retry knob, declared as policy: a `retry:attempts=N` spec on
-            # the middleware stack bounds coordinator re-queues too (the
-            # worker-side RetryMiddleware covers application exceptions; this
-            # bound covers infrastructure failures).
-            max_retries = retry_attempts_from_specs(
-                getattr(policy, "middleware", ()), default=DEFAULT_MAX_RETRIES
-            )
-        else:
-            warnings.warn(
-                "ClusterExecutor(max_retries=...) is deprecated; declare the "
-                "bound on the policy's middleware stack instead "
-                "(middleware=('retry:attempts=N',))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        if max_retries < 0:
-            raise ConfigurationError("max_retries must be >= 0")
+        # One retry knob, declared as policy: a `retry:attempts=N` spec on the
+        # middleware stack bounds coordinator re-queues too (the worker-side
+        # RetryMiddleware covers application exceptions; this bound covers
+        # infrastructure failures).
+        self._max_retries = retry_attempts_from_specs(
+            getattr(policy, "middleware", ()), default=DEFAULT_MAX_RETRIES
+        )
         self._lease_timeout = float(lease_timeout)
-        self._max_retries = int(max_retries)
         self._worker_wait = float(worker_wait_timeout)
         self._on_event = on_event
 

@@ -14,7 +14,7 @@ from typing import Any, Mapping, Sequence
 
 from repro.common.errors import ConfigurationError, OutOfMemoryError
 from repro.model.presets import PAPER_MODEL_ORDER
-from repro.runtime import SIMULATION_FIELDS, ExecutionPolicy, policy_context
+from repro.runtime import ExecutionPolicy, policy_context
 from repro.sim.engine import STANDARD_RESOURCE_NAMES
 from repro.sweep import Scenario, SweepRunner, SweepSpec
 from repro.sweep.batching import PreparedCase, register_batchable
@@ -161,22 +161,18 @@ def run_training(
 def _prepare_training_case(**params):
     """Prepare one :func:`run_training` scenario for shape-batched scheduling.
 
-    Returns a :class:`~repro.sweep.batching.PreparedCase`, or — for scenarios
-    the stacked path cannot or should not serve (OOM at resolution, a policy
-    pinning the eager op backend, a strategy without row builders) — the
-    finished :class:`~repro.training.metrics.TrainingReport` itself, computed
-    exactly as :func:`run_training` would.
+    Returns a :class:`~repro.sweep.batching.PreparedCase`, or — for a
+    scenario that runs out of memory at resolution — the finished
+    :class:`~repro.training.metrics.TrainingReport` itself, computed exactly
+    as :func:`run_training` would.
     """
     trainer = _training_trainer(**params)
     try:
         job = trainer.config.resolve()
     except OutOfMemoryError as exc:
         return trainer.oom_report(exc)
-    policy = ExecutionPolicy.resolve(env_fields=SIMULATION_FIELDS)
-    if policy.op_backend != "batch" or not job.strategy.supports_op_batch():
-        return trainer.report_from_simulation(job, trainer.simulate(job))
     iterations = max(1, min(trainer.simulated_iterations, trainer.config.iterations))
-    prepared = prepare_simulation(job, iterations, policy=policy)
+    prepared = prepare_simulation(job, iterations)
     # The shape key only fingerprints op topology; the salt pre-partitions
     # groups by everything else that must match for one compiled plan to
     # serve all members (bookkeeping structure follows strategy + iteration
@@ -230,7 +226,6 @@ def training_sweep(
     jobs: int | None = None,
     use_cache: bool | None = None,
     cache_dir: Any = None,
-    scheduler: str | None = None,
     policy: ExecutionPolicy | None = None,
 ) -> dict[tuple, TrainingReport]:
     """Run a declarative grid of :func:`run_training` scenarios.
@@ -238,14 +233,13 @@ def training_sweep(
     ``axes`` maps :func:`run_training` keyword names to candidate values; ``base``
     holds fixed keywords shared by every scenario.  Returns reports keyed by the
     tuple of axis values in declaration order (bare values for a single axis).
-    Parallelism, caching and the simulation backends follow the resolved
-    :class:`~repro.runtime.ExecutionPolicy` unless overridden (``policy=``
-    whole, or the individual keywords).
+    Parallelism and caching follow the resolved :class:`~repro.runtime.ExecutionPolicy`
+    unless overridden (``policy=`` whole, or the individual keywords).
     """
     spec = SweepSpec.build(axes, base)
     runner = SweepRunner(
         run_training, jobs=jobs, use_cache=use_cache, cache_dir=cache_dir,
-        scheduler=scheduler, policy=policy,
+        policy=policy,
     )
     return runner.run(spec).keyed(*spec.axis_names)
 

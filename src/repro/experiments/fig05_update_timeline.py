@@ -3,27 +3,32 @@
 from __future__ import annotations
 
 from repro.core.scheduler import build_cpu_only_plan, build_update_plan
-from repro.core.sim_executor import build_blocking_offload_update, build_interleaved_update
+from repro.core.sim_executor import (
+    build_blocking_offload_update_rows,
+    build_interleaved_update_rows,
+)
 from repro.experiments.base import ExperimentResult
 from repro.hardware.contention import HostContentionModel
 from repro.hardware.presets import get_machine_preset
 from repro.hardware.throughput import ThroughputProfile
 from repro.sim.engine import SimEngine, standard_resources
+from repro.sim.opbatch import OpBatch
 
 
 def _simulate(strategy: str, profile, num_subgroups: int, subgroup_params: int, stride: int):
     engine = SimEngine(name=f"fig5-{strategy}")
     standard_resources(engine)
+    batch = OpBatch()
     sizes = {i: subgroup_params for i in range(num_subgroups)}
     if strategy == "twinflow":
         plan = build_cpu_only_plan(num_subgroups, static_residents={0, 1})
-        ops = build_blocking_offload_update(engine, profile, plan, sizes)
+        ops = build_blocking_offload_update_rows(batch, profile, plan, sizes)
     else:
         plan = build_update_plan(num_subgroups, stride, static_residents={num_subgroups - 2, num_subgroups - 1})
-        ops = build_interleaved_update(
-            engine, profile, plan, sizes, contention=HostContentionModel()
+        ops = build_interleaved_update_rows(
+            batch, profile, plan, sizes, contention=HostContentionModel()
         )
-    schedule = engine.run()
+    schedule = engine.run_vector(batch)
     ready = max(schedule.by_id(op).end for op in ops.params_ready_ops)
     return plan, schedule, ops, ready
 

@@ -20,8 +20,9 @@ Rows are emitted stage-major in each stage's schedule order, so per-resource
 FIFO order matches the schedule by construction; dependencies may point at
 rows emitted later (a ``RECV`` of gradients references the downstream
 stage's ``SEND``), which the engine's blocked-head machinery handles.  The
-same rows feed all three scheduler backends byte-identically — the property
-the differential harness enforces for pipeline-shaped DAGs.
+same rows schedule byte-identically on the vector kernel and on the heap
+oracle — the property the differential harness enforces for pipeline-shaped
+DAGs.
 """
 
 from __future__ import annotations

@@ -58,7 +58,6 @@ def pipeline_sweep(
     jobs: int | None = None,
     use_cache: bool | None = None,
     cache_dir: Any = None,
-    scheduler: str | None = None,
     policy: ExecutionPolicy | None = None,
 ) -> dict[tuple, dict]:
     """Run a declarative grid of :func:`run_pipeline` scenarios.
@@ -72,6 +71,6 @@ def pipeline_sweep(
     spec = SweepSpec.build(axes, base)
     runner = SweepRunner(
         run_pipeline, jobs=jobs, use_cache=use_cache, cache_dir=cache_dir,
-        scheduler=scheduler, policy=policy,
+        policy=policy,
     )
     return runner.run(spec).keyed(*spec.axis_names)

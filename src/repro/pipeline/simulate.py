@@ -4,9 +4,9 @@
 :func:`repro.training.simulation.simulate_job`: it resolves an
 :class:`~repro.runtime.ExecutionPolicy` (``pipeline_schedule`` supplies the
 default schedule family), builds the schedule and its op rows through the
-strategy hooks, runs them on the ordinary :class:`~repro.sim.engine.SimEngine`
-(middleware chain installed at the engine seam, scheduler backend chosen by
-the policy's ``auto`` rule) and derives the pipeline metrics — makespan,
+strategy's row builder, schedules them on the ordinary
+:class:`~repro.sim.engine.SimEngine`'s vector kernel (middleware chain
+installed at the engine seam) and derives the pipeline metrics — makespan,
 per-stage busy time and the **bubble fraction**
 
     ``1 - total stage compute / (stages * makespan)``
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.middleware import build_chain, effective_middleware_specs
-from repro.pipeline.lowering import LoweredPipeline, pipeline_resources
+from repro.pipeline.lowering import pipeline_resources
 from repro.pipeline.strategy import PipelineStrategy, build_pipeline_strategy
 from repro.pipeline.timing import DEFAULT_BACKWARD_SPLIT, PipelineTiming, timing_from_presets
 from repro.runtime import ExecutionPolicy
@@ -56,9 +56,9 @@ class PipelineResult:
     def to_dict(self) -> dict:
         """Flat JSON-able summary (the sweep-worker return value).
 
-        Deliberately excludes *how* the result was computed (scheduler
-        backend, executor): identical scenarios must serialize byte-identically
-        across heap/vector schedulers and serial/pool/cluster executors.
+        Deliberately excludes *how* the result was computed (kernel,
+        executor): identical scenarios must serialize byte-identically
+        across serial/pool/cluster executors.
         """
         utilizations = [
             busy / self.makespan_seconds if self.makespan_seconds > 0 else 0.0
@@ -129,23 +129,8 @@ def simulate_pipeline(
     if chain is not None:
         engine.install_middleware(chain, policy=policy)
 
-    lowered: LoweredPipeline
-    if policy.op_backend == "batch" and strategy.supports_op_batch():
-        effective_backend = "batch"
-        lowered = strategy.build_schedule_rows(plan, timing)
-        scheduler = policy.select_scheduler(lowered.op_count)
-        if scheduler == "vector":
-            sim_schedule = engine.run_vector(lowered.batch)
-        else:
-            sim_schedule = engine.run_batch(lowered.batch)
-    else:
-        effective_backend = "objects"
-        lowered = strategy.build_schedule_ops(engine, plan, timing)
-        scheduler = policy.select_scheduler(lowered.op_count)
-        if scheduler == "vector":
-            sim_schedule = engine.run_vector()
-        else:
-            sim_schedule = engine.run()
+    lowered = strategy.build_schedule_rows(plan, timing)
+    sim_schedule = engine.run_vector(lowered.batch)
 
     makespan = sim_schedule.makespan
     stage_busy = tuple(
@@ -160,10 +145,7 @@ def simulate_pipeline(
         if resource.startswith("link")
     )
     resolved = ResolvedExecution(
-        policy=policy,
-        op_backend=effective_backend,
-        scheduler=scheduler,
-        op_count=lowered.op_count,
+        policy=policy, scheduler="vector", op_count=lowered.op_count
     )
     return PipelineResult(
         schedule=lowered.schedule.name,

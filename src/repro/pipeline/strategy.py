@@ -2,8 +2,8 @@
 
 The offload side of the codebase plugs scenario families into the simulation
 through :class:`~repro.core.engine.OffloadStrategy`'s hook set — a
-``build_plan`` producing the scheduling plan, row-emitting builder twins
-gated by ``supports_op_batch()``, and a ``describe()`` for diagnostics.
+``build_plan`` producing the scheduling plan, a row-emitting builder, and a
+``describe()`` for diagnostics.
 :class:`PipelineStrategy` mirrors those hooks for the pipeline family, so the
 two families present the same mechanism/policy seam: the *mechanism* (the
 engine and its admission paths) never changes, the *policy* (which schedule
@@ -28,10 +28,8 @@ class PipelineStrategy(abc.ABC):
     """Interface implemented by every pipeline-schedule strategy.
 
     The hook names deliberately mirror :class:`~repro.core.engine.OffloadStrategy`:
-    ``build_plan`` produces the (un-timed) scheduling plan,
-    ``supports_op_batch`` gates the row-emitting path, and
-    ``build_schedule_rows`` / ``build_schedule_ops`` are the batched/eager
-    builder twins.
+    ``build_plan`` produces the (un-timed) scheduling plan and
+    ``build_schedule_rows`` lowers it to op rows.
     """
 
     name: str = "pipeline-strategy"
@@ -49,34 +47,15 @@ class PipelineStrategy(abc.ABC):
         passes ignore it.
         """
 
-    def supports_op_batch(self) -> bool:
-        """True when the strategy provides the row-emitting builder (they all do)."""
-        return True
-
     def build_schedule_rows(
         self, schedule: PipelineSchedule, timing: PipelineTiming
     ) -> LoweredPipeline:
         """Row-emitting builder: lower ``schedule`` to an :class:`~repro.sim.opbatch.OpBatch`."""
         return lower_schedule(schedule, timing)
 
-    def build_schedule_ops(
-        self, engine, schedule: PipelineSchedule, timing: PipelineTiming
-    ) -> LoweredPipeline:
-        """Eager builder twin: lower and submit ``SimOp`` objects to ``engine``.
-
-        Produces the very rows of :meth:`build_schedule_rows` and expands them
-        through :meth:`~repro.sim.opbatch.OpBatch.submit_to`, so the eager and
-        batched admission paths see the identical DAG (ids included) — the
-        property the differential harness checks.
-        """
-        lowered = self.build_schedule_rows(schedule, timing)
-        lowered.batch.submit_to(engine)
-        return lowered
-
     def describe(self) -> dict:
         """Diagnostic summary (mirrors ``OffloadStrategy.describe``)."""
-        return {"name": self.name, "family": "pipeline",
-                "supports_op_batch": self.supports_op_batch()}
+        return {"name": self.name, "family": "pipeline"}
 
 
 class SchedulePipelineStrategy(PipelineStrategy):

@@ -1,8 +1,8 @@
 """Runtime execution policy: one first-class object instead of plumbed knobs.
 
-:class:`ExecutionPolicy` carries every runtime-execution decision — op
-backend, scheduler backend (including ``"auto"`` threshold selection), sweep
-parallelism and caching — and :meth:`ExecutionPolicy.resolve` implements the
+:class:`ExecutionPolicy` carries every runtime-execution decision — sweep
+parallelism and dispatch, caching, middleware, scenario defaults and tracing —
+and :meth:`ExecutionPolicy.resolve` implements the
 one documented resolution order (explicit argument > active
 :func:`configure` context > ``REPRO_*`` environment > defaults) that every
 consumer shares: ``simulate_job``, ``Trainer``, ``SweepRunner`` and the CLI.
@@ -11,21 +11,13 @@ See ``docs/runtime.md`` for the full model.
 
 from repro.runtime.policy import (
     AUTO_EXECUTOR,
-    AUTO_SCHEDULER,
-    AUTO_SWEEP_MODE,
-    DEFAULT_AUTO_VECTOR_THRESHOLD,
     EXECUTOR_BACKENDS,
     EXECUTOR_CHOICES,
-    OP_BACKENDS,
     PIPELINE_FIELDS,
     POLICY_FIELDS,
     SCENARIO_FAMILIES,
-    SCHEDULER_CHOICES,
     SIMULATION_FIELDS,
-    SWEEP_MODE_CHOICES,
-    SWEEP_MODES,
     ExecutionPolicy,
-    OpBackendFallbackWarning,
     ResolvedExecution,
     clear_global_defaults,
     configure,
@@ -36,21 +28,13 @@ from repro.runtime.policy import (
 
 __all__ = [
     "AUTO_EXECUTOR",
-    "AUTO_SCHEDULER",
-    "AUTO_SWEEP_MODE",
-    "DEFAULT_AUTO_VECTOR_THRESHOLD",
     "EXECUTOR_BACKENDS",
     "EXECUTOR_CHOICES",
-    "OP_BACKENDS",
     "PIPELINE_FIELDS",
     "POLICY_FIELDS",
     "SCENARIO_FAMILIES",
-    "SCHEDULER_CHOICES",
     "SIMULATION_FIELDS",
-    "SWEEP_MODE_CHOICES",
-    "SWEEP_MODES",
     "ExecutionPolicy",
-    "OpBackendFallbackWarning",
     "ResolvedExecution",
     "configure",
     "policy_context",

@@ -1,14 +1,11 @@
 """The :class:`ExecutionPolicy` object and its four-level resolution order.
 
-Three PRs of backend growth left runtime configuration smeared across call
-sites: per-function kwargs (``op_backend=``, ``scheduler_backend=``,
-``SweepRunner(scheduler=...)``), ad-hoc ``os.environ`` reads inside
-``simulate_job``, and environment-variable exports to reach pooled sweep
-workers.  Following the policy-free-middleware argument (Dearle et al.,
-"Towards Adaptable and Adaptive Policy-Free Middleware"), this module makes
-execution policy a first-class, explicitly-resolved object instead: every
-consumer asks :meth:`ExecutionPolicy.resolve` once and passes the result
-around as a value.
+Following the policy-free-middleware argument (Dearle et al., "Towards
+Adaptable and Adaptive Policy-Free Middleware"), this module makes execution
+policy a first-class, explicitly-resolved object instead of per-function
+kwargs, ad-hoc ``os.environ`` reads and environment-variable exports to
+workers: every consumer asks :meth:`ExecutionPolicy.resolve` once and passes
+the result around as a value.
 
 **Resolution order** — implemented in exactly one place,
 :meth:`ExecutionPolicy.resolve`, and identical for every field:
@@ -23,16 +20,15 @@ around as a value.
    :data:`POLICY_FIELDS`);
 4. **default** — the field's built-in default.
 
-Only the winning value is validated, so a stale ``$REPRO_SIM_SCHEDULER`` in
+Only the winning value is validated, so a stale ``$REPRO_SWEEP_JOBS`` in
 the environment cannot break a call that overrides it explicitly.
 
-**Automatic scheduler selection.**  ``scheduler="auto"`` (the default) is a
-policy-level choice, not an engine backend: :meth:`ExecutionPolicy.select_scheduler`
-maps it to the ``vector`` kernel when the DAG's op count reaches
-``auto_vector_threshold`` and to the ``heap`` scheduler below it.  Because
-scheduler backends are byte-identical (the three-way differential harness in
-``tests/test_engine_equivalence.py`` is the proof), ``auto`` can never change a
-result — only how fast it is computed.
+**No path knobs.**  The policy carries decisions a user actually makes
+(parallelism, dispatch, caching, middleware, scenario defaults, tracing).
+How a simulation is scheduled is not one of them: every scenario runs on the
+vector kernel, and a sweep stacks same-shape scenarios when the group is large
+enough to pay for it (:mod:`repro.sweep.batching`).  The paths compute
+byte-identical results, so the code picks the fastest one itself.
 """
 
 from __future__ import annotations
@@ -45,14 +41,6 @@ from typing import Any, Callable, Mapping
 
 from repro.common.errors import ConfigurationError
 from repro.middleware import normalize_middleware_specs
-from repro.sim.engine import SCHEDULER_BACKENDS
-
-#: The op-construction backends of ``simulate_job`` (see ``repro.sim.opbatch``).
-OP_BACKENDS = ("batch", "objects")
-
-#: Policy-level scheduler choices: the engine backends plus ``"auto"``.
-AUTO_SCHEDULER = "auto"
-SCHEDULER_CHOICES = (AUTO_SCHEDULER,) + SCHEDULER_BACKENDS
 
 #: The dispatch backends of :mod:`repro.dispatch` (declared here, not there,
 #: because the policy layer validates the ``executor`` field and the dispatch
@@ -62,28 +50,12 @@ EXECUTOR_BACKENDS = ("serial", "pool", "cluster")
 AUTO_EXECUTOR = "auto"
 EXECUTOR_CHOICES = (AUTO_EXECUTOR,) + EXECUTOR_BACKENDS
 
-#: How ``SweepRunner`` executes scenario grids: ``"scenario"`` dispatches one
-#: task per scenario (the classic path), ``"batch"`` groups scenarios by DAG
-#: shape and schedules each group in one stacked vector pass (see
-#: :mod:`repro.sim.shapebatch`), ``"auto"`` picks ``batch`` when the worker
-#: registered a batching adapter and the executor is serial or pool.
-SWEEP_MODES = ("scenario", "batch")
-AUTO_SWEEP_MODE = "auto"
-SWEEP_MODE_CHOICES = (AUTO_SWEEP_MODE,) + SWEEP_MODES
-
-#: Default op count at which ``scheduler="auto"`` switches to the vector kernel.
-#: Measured on the scaling benchmark: the struct-of-arrays kernel matches the
-#: heap from a few thousand ops and wins clearly beyond ~50k (≈7k optimizer
-#: subgroups per iteration), even for analyses that materialise every op.
-DEFAULT_AUTO_VECTOR_THRESHOLD = 50_000
-
 #: The policy fields ``simulate_job`` consumes — the ``env_fields`` it passes
 #: to :meth:`ExecutionPolicy.resolve`, so a broken sweep-level environment
 #: variable (say ``REPRO_SWEEP_JOBS=garbage``) can never fail a simulation
 #: that does not read it.  ``middleware`` and ``trace`` are here because the
 #: engine seam (``SimEngine.install_middleware``) runs the resolved chain.
-SIMULATION_FIELDS = ("op_backend", "scheduler", "auto_vector_threshold", "middleware",
-                     "trace")
+SIMULATION_FIELDS = ("middleware", "trace")
 
 #: The scenario families the toolkit simulates.  ``scenario_family`` selects
 #: which axis a generic surface (the sweep CLI's default worker, serve's
@@ -99,16 +71,6 @@ SOURCE_ARG = "arg"
 SOURCE_CONTEXT = "context"
 SOURCE_ENV = "env"
 SOURCE_DEFAULT = "default"
-
-
-class OpBackendFallbackWarning(RuntimeWarning):
-    """Emitted (once per strategy) when ``op_backend="batch"`` silently degrades.
-
-    A strategy that does not implement the op-batch row builders is simulated
-    through the eager ``"objects"`` path instead.  The schedule is identical —
-    the downgrade is purely a performance matter — but it used to be silent;
-    now it is recorded in ``SimulationResult.resolved_policy`` and warned here.
-    """
 
 
 # --------------------------------------------------------------------- parsing
@@ -130,46 +92,11 @@ def _parse_int(text: str) -> int:
         raise ConfigurationError(f"expected an integer, got {text!r}") from None
 
 
-def _validate_op_backend(value: Any) -> str:
-    if value not in OP_BACKENDS:
-        raise ConfigurationError(
-            f"unknown op backend {value!r}; expected one of "
-            f"{', '.join(repr(name) for name in OP_BACKENDS)}"
-        )
-    return value
-
-
-def _validate_scheduler(value: Any) -> str:
-    if value not in SCHEDULER_CHOICES:
-        raise ConfigurationError(
-            f"unknown scheduler backend {value!r}; expected one of "
-            f"{', '.join(repr(name) for name in SCHEDULER_CHOICES)}"
-        )
-    return value
-
-
-def _validate_threshold(value: Any) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError("auto_vector_threshold must be an integer")
-    if value < 0:
-        raise ConfigurationError("auto_vector_threshold must be >= 0")
-    return value
-
-
 def _validate_executor(value: Any) -> str:
     if value not in EXECUTOR_CHOICES:
         raise ConfigurationError(
             f"unknown executor backend {value!r}; expected one of "
             f"{', '.join(repr(name) for name in EXECUTOR_CHOICES)}"
-        )
-    return value
-
-
-def _validate_sweep_mode(value: Any) -> str:
-    if value not in SWEEP_MODE_CHOICES:
-        raise ConfigurationError(
-            f"unknown sweep mode {value!r}; expected one of "
-            f"{', '.join(repr(name) for name in SWEEP_MODE_CHOICES)}"
         )
     return value
 
@@ -254,26 +181,11 @@ class _FieldSpec:
 #: The single registry every resolution surface shares — ``resolve()``, the
 #: ``repro config`` subcommand, and the docs table are all generated from it.
 POLICY_FIELDS: dict[str, _FieldSpec] = {
-    "op_backend": _FieldSpec(
-        "REPRO_SIM_OP_BACKEND", str, _validate_op_backend, lambda: "batch"
-    ),
-    "scheduler": _FieldSpec(
-        "REPRO_SIM_SCHEDULER", str, _validate_scheduler, lambda: AUTO_SCHEDULER
-    ),
-    "auto_vector_threshold": _FieldSpec(
-        "REPRO_AUTO_VECTOR_THRESHOLD",
-        _parse_int,
-        _validate_threshold,
-        lambda: DEFAULT_AUTO_VECTOR_THRESHOLD,
-    ),
     "jobs": _FieldSpec("REPRO_SWEEP_JOBS", _parse_int, _validate_jobs, lambda: 1),
     "executor": _FieldSpec(
         "REPRO_EXECUTOR", str, _validate_executor, lambda: AUTO_EXECUTOR
     ),
     "workers": _FieldSpec("REPRO_WORKERS", _parse_int, _validate_workers, lambda: 1),
-    "sweep_mode": _FieldSpec(
-        "REPRO_SWEEP_MODE", str, _validate_sweep_mode, lambda: AUTO_SWEEP_MODE
-    ),
     "use_cache": _FieldSpec(
         "REPRO_SWEEP_USE_CACHE", _parse_bool, _validate_use_cache, lambda: False
     ),
@@ -358,8 +270,8 @@ def configure(**overrides: Any) -> _PolicyContext:
 
     ::
 
-        with repro.configure(scheduler="vector", jobs=4):
-            report = Trainer(config).run()       # resolves scheduler="vector"
+        with repro.configure(middleware="timing", jobs=4):
+            report = Trainer(config).run()       # resolves middleware=("timing",)
 
     Contexts nest — the innermost context that sets a field wins — and sit
     between explicit arguments and ``REPRO_*`` environment variables in the
@@ -423,13 +335,9 @@ class ExecutionPolicy:
     regardless of how they were resolved.
     """
 
-    op_backend: str = "batch"
-    scheduler: str = AUTO_SCHEDULER
-    auto_vector_threshold: int = DEFAULT_AUTO_VECTOR_THRESHOLD
     jobs: int = 1
     executor: str = AUTO_EXECUTOR
     workers: int = 1
-    sweep_mode: str = AUTO_SWEEP_MODE
     use_cache: bool = False
     cache_dir: Path = field(default_factory=_default_cache_dir)
     middleware: tuple = ()
@@ -497,7 +405,7 @@ class ExecutionPolicy:
                     try:
                         values[name] = spec.validate(spec.parse_env(env_text))
                     except ConfigurationError as exc:
-                        # Name the variable: six REPRO_* vars feed this
+                        # Name the variable: ten REPRO_* vars feed this
                         # resolver, and a shell-level typo must say which.
                         raise ConfigurationError(
                             f"invalid ${spec.env_var}={env_text!r}: {exc}"
@@ -514,20 +422,6 @@ class ExecutionPolicy:
         sources = dict(self.sources)
         sources.update({name: SOURCE_ARG for name in checked})
         return replace(self, sources=sources, **checked)
-
-    # ------------------------------------------------------------- behaviour
-
-    def select_scheduler(self, op_count: int) -> str:
-        """The engine backend this policy runs ``op_count`` operations on.
-
-        ``"auto"`` picks ``"vector"`` at or above ``auto_vector_threshold``
-        and ``"heap"`` below it; explicit backends pass through unchanged.
-        Backends are schedule-identical, so this is purely a performance
-        decision.
-        """
-        if self.scheduler != AUTO_SCHEDULER:
-            return self.scheduler
-        return "vector" if op_count >= self.auto_vector_threshold else "heap"
 
     # ------------------------------------------------------------ introspection
 
@@ -580,15 +474,11 @@ def resolution_report(**overrides: Any) -> dict[str, dict[str, Any]]:
 class ResolvedExecution:
     """What one ``simulate_job`` call actually ran, attached to its result.
 
-    ``policy`` is the resolved input; ``op_backend``/``scheduler`` are the
-    *effective* backends after the strategy-capability fallback and the
-    ``auto`` threshold decision, so callers can introspect what happened
-    without re-deriving it.
+    ``policy`` is the resolved input; ``scheduler`` names the kernel that
+    produced the schedule (``"vector"``), so callers can introspect what
+    happened without re-deriving it.
     """
 
     policy: ExecutionPolicy
-    op_backend: str
     scheduler: str
     op_count: int
-    op_backend_fallback: bool = False
-    fallback_reason: str = ""

@@ -101,7 +101,7 @@ def _digest(*parts: Any) -> str:
 def _policy_key(policy: ExecutionPolicy) -> dict[str, Any]:
     """The policy identity folded into coalescing keys.
 
-    Execution-only fields (jobs, executor, scheduler...) are byte-identity
+    Execution-only fields (jobs, executor, middleware...) are byte-identity
     invariants — they never change values — but they *do* change cost and
     placement, and a client that explicitly asked for ``jobs=8`` should not
     silently receive a ``jobs=1`` run's result object (the exports differ in

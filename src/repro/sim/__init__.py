@@ -15,7 +15,6 @@ throughput time series to reproduce Figures 3, 4 and 15.
 
 from repro.sim.ops import OpKind, SimOp, next_op_id
 from repro.sim.engine import (
-    SCHEDULER_BACKENDS,
     Resource,
     Schedule,
     ScheduledOp,
@@ -30,7 +29,6 @@ __all__ = [
     "SimOp",
     "OpBatch",
     "next_op_id",
-    "SCHEDULER_BACKENDS",
     "SimEngine",
     "Resource",
     "Schedule",

@@ -28,10 +28,12 @@ The engine has three admission paths with identical semantics:
 * **vector** — :meth:`SimEngine.run_vector` schedules a batch (or the eager
   submissions) on the numpy struct-of-arrays kernel in
   :mod:`repro.sim.veckernel`, which replaces the per-op heap/dict event loop
-  with flat arrays and run-at-a-time scans — the backend for very large grids
-  (100k+ subgroups per scenario).
+  with flat arrays and run-at-a-time scans — the production path; it is the
+  fastest at every size measured.
 
-All paths must produce byte-identical schedules; ``tests/test_opbatch_equivalence.py``
+The heap paths (:meth:`SimEngine.run` / :meth:`SimEngine.run_batch`) are kept as
+the reference the differential tests compare the kernel against; no production
+code calls them.  All paths must produce byte-identical schedules; ``tests/test_opbatch_equivalence.py``
 is the golden test for the batched path and the three-way differential harness in
 ``tests/test_engine_equivalence.py`` covers all of them against the seed
 list-scheduler reference.
@@ -48,14 +50,6 @@ from repro.common.errors import ConfigurationError, SimulationError
 from repro.middleware.base import SEAM_ENGINE, MiddlewareContext
 from repro.sim.opbatch import row_from_simop, simop_from_row
 from repro.sim.ops import OpKind, SimOp
-
-#: The engine's scheduler backends: ``"heap"`` is :meth:`SimEngine.run` /
-#: :meth:`SimEngine.run_batch`, ``"vector"`` is :meth:`SimEngine.run_vector`.
-#: The single source of truth for backend names — the execution-policy layer
-#: (:mod:`repro.runtime`) builds its validation and the CLI ``--scheduler``
-#: choices from it (plus the policy-level ``"auto"``), so adding a backend
-#: here makes it selectable everywhere at once.
-SCHEDULER_BACKENDS = ("heap", "vector")
 
 
 @dataclass

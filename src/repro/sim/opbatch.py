@@ -166,7 +166,7 @@ class OpBatch:
         return [row[index] for row in self.rows]
 
     def expand(self) -> list[SimOp]:
-        """Materialise every row as a ``SimOp`` (used by tests and the eager fallback).
+        """Materialise every row as a ``SimOp`` (used by the equivalence tests).
 
         The expansion bypasses ``SimOp.__init__``: a row already *is* the attribute
         dict, so each op is ``__new__`` plus one ``__dict__`` assignment.  Run

@@ -271,6 +271,25 @@ class StackedSchedule:
         return VectorSchedule(rows, starts, ends, op_ids, list(self.plan.resource_names))
 
 
+def stack_solo(schedule: VectorSchedule) -> StackedSchedule:
+    """One solo vector-kernel schedule as a one-column :class:`StackedSchedule`.
+
+    Lets a scenario whose shape group is too small to stack reach the same
+    finalizer a stacked group does.  The plan carries the schedule's ids and
+    resources but no replay steps: the kernel already scheduled the rows.
+    """
+    op_ids = schedule._op_id_column
+    first_id = int(op_ids[0]) if op_ids.shape[0] else 0
+    plan = ShapePlan(
+        resource_names=tuple(schedule.resources), op_count=int(op_ids.shape[0]),
+        steps=(), rel_ids=op_ids - first_id, release_rows=(),
+    )
+    return StackedSchedule(
+        plan=plan, starts=schedule._starts[:, None], ends=schedule._ends[:, None],
+        first_ids=(first_id,), rows=schedule._rows,
+    )
+
+
 def schedule_group(plan: ShapePlan, columns) -> StackedSchedule:
     """Schedule every scenario of one shape group in a single stacked pass.
 

@@ -65,8 +65,7 @@ def require_numpy() -> None:
     """Raise a configuration error when the vector backend cannot run."""
     if np is None:  # pragma: no cover - exercised only on broken installs
         raise ConfigurationError(
-            "scheduler backend 'vector' requires numpy, which is not installed; "
-            "use the 'heap' scheduler instead"
+            "the vector scheduling kernel requires numpy, which is not installed"
         )
 
 

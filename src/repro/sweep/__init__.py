@@ -17,10 +17,10 @@ declarations:
   ``repro sweep --cache-stats`` (inspection, stale-entry detection) and
   ``--cache-evict`` (eviction);
 * :mod:`repro.sweep.batching` — shape-compiled scenario batching: workers that
-  :func:`~repro.sweep.batching.register_batchable` let the runner group
-  same-shape scenarios (``sweep_mode="batch"``, the ``auto`` default where
-  supported) and schedule each group in one stacked pass, byte-identical to
-  the per-scenario path.
+  :func:`~repro.sweep.batching.register_batchable` run in scenario groups
+  on the local executors, where same-shape scenarios share one stacked
+  scheduling pass once enough of them share a shape, byte-identical to the
+  per-scenario path.
 
 Two invariants hold across the subsystem:
 

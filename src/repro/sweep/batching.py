@@ -2,16 +2,17 @@
 
 The per-scenario sweep path pays the full simulation pipeline per grid point.
 For workers that opt in through :func:`register_batchable`, ``SweepRunner``
-can instead dispatch *groups* of scenarios to :func:`run_scenario_group` —
-a module-level trampoline every dispatch backend can ship by reference, just
-like an ordinary worker.  Inside the group, each scenario is *prepared*
-(everything up to but excluding scheduling: resolve, op-row construction),
-the resulting op batches are grouped by :func:`~repro.sim.shapebatch.shape_key`,
-each shape is compiled once (:func:`~repro.sim.shapebatch.compile_plan`) and
-scheduled for all its scenarios in one stacked pass
-(:func:`~repro.sim.shapebatch.schedule_group`), and the adapter's finalizer
-turns the stacked schedule back into the exact per-scenario values the plain
-worker returns.
+instead dispatches *groups* of scenarios to :func:`run_scenario_group` — a
+module-level trampoline the local executors ship by reference, just like an
+ordinary worker.  Inside the group, each scenario is *prepared* (everything up
+to but excluding scheduling: resolve, op-row construction) and the resulting
+op batches are grouped by :func:`~repro.sim.shapebatch.shape_key`.  A shape
+group of at least :data:`STACK_MIN_SCENARIOS` scenarios is compiled once
+(:func:`~repro.sim.shapebatch.compile_plan`) and scheduled in one stacked
+pass (:func:`~repro.sim.shapebatch.schedule_group`); each member of a smaller
+group is scheduled alone on the vector kernel.  Either way the adapter's
+finalizer turns the schedule back into the exact per-scenario values the
+plain worker returns.
 
 The contract is strict value equality: for every scenario,
 ``run_scenario_group`` must produce byte-for-byte what ``worker(**params)``
@@ -22,9 +23,8 @@ key a serial run reads.
 
 An adapter's :attr:`~BatchAdapter.prepare` may also *decline* a scenario by
 returning the final value directly (anything that is not a
-:class:`PreparedCase`): out-of-memory configurations, strategies without row
-builders, and policies pinning the eager op backend all fall back to the
-per-scenario code path inside the same process, so a mixed grid still works.
+:class:`PreparedCase`): out-of-memory configurations, for example, are
+finished inside ``prepare``, so a mixed grid still works.
 """
 
 from __future__ import annotations
@@ -36,13 +36,21 @@ from typing import Any, Callable, Sequence
 
 from repro.common.errors import ConfigurationError
 from repro.dispatch.base import resolve_worker_spec, worker_spec
+from repro.sim.engine import SimEngine
 from repro.sim.shapebatch import (
     StackedSchedule,
     compile_plan,
     scenario_column,
     schedule_group,
     shape_key,
+    stack_solo,
 )
+
+#: Smallest shape group scheduled in one stacked pass.  Measured on the paper
+#: evaluation's 453- and 1251-op shapes: compiling and replaying a stacked
+#: pass costs about 3.4 solo vector-kernel runs whatever the group size, so
+#: stacking breaks even at 3 scenarios and wins from 4.
+STACK_MIN_SCENARIOS = 4
 
 
 @dataclass(frozen=True)
@@ -60,7 +68,8 @@ class PreparedCase:
 
     The group runner consumes ``batch`` immediately — shape key, duration
     column — and then drops it (only each group's first batch is kept, as the
-    compile representative).  Adapters should therefore **not** reference the
+    compile representative, plus the batches of a group still too small to
+    stack).  Adapters should therefore **not** reference the
     batch from ``payload``: letting a scenario's row tuples die right after
     extraction is what keeps hundreds of prepared scenarios from turning into
     garbage-collector drag.
@@ -80,7 +89,9 @@ class BatchAdapter:
     final value directly to decline batching for that point.
     ``finalize_group(payloads, stacked)`` receives the prepared payloads of
     one shape group (in group order) plus their stacked schedule and returns
-    the final values in the same order.
+    the final values in the same order.  A member of a group too small to
+    stack is finalised alone: one payload and a one-column stack of its own
+    vector-kernel schedule.
     """
 
     prepare: Callable[..., Any]
@@ -89,13 +100,31 @@ class BatchAdapter:
 
 @dataclass
 class _ShapeGroup:
-    """Accumulator for one (salt, resources, shape-key) group of a chunk."""
+    """Accumulator for one (salt, resources, shape-key) group of a chunk.
 
-    representative: Any
+    ``batches`` holds every member's op batch while the group is smaller than
+    :data:`STACK_MIN_SCENARIOS`; once it reaches that size they become
+    ``columns`` and only the first stays, as the compile ``representative``.
+    """
+
     resource_names: tuple[str, ...]
     positions: list[int] = field(default_factory=list)
-    columns: list = field(default_factory=list)
     payloads: list = field(default_factory=list)
+    batches: list | None = field(default_factory=list)
+    columns: list = field(default_factory=list)
+    representative: Any = None
+
+    def add(self, position: int, batch: Any, payload: Any) -> None:
+        self.positions.append(position)
+        self.payloads.append(payload)
+        if self.batches is None:
+            self.columns.append(scenario_column(batch))
+            return
+        self.batches.append(batch)
+        if len(self.batches) == STACK_MIN_SCENARIOS:
+            self.representative = self.batches[0]
+            self.columns = [scenario_column(member) for member in self.batches]
+            self.batches = None
 
 
 #: worker spec string -> adapter.  Populated by ``register_batchable`` as an
@@ -129,19 +158,6 @@ def is_batchable(worker: Callable[..., Any]) -> bool:
         return False
 
 
-def batchable_adapter(worker: Callable[..., Any]) -> BatchAdapter:
-    """The adapter ``worker`` registered (:class:`ConfigurationError` if none)."""
-    spec = worker_spec(worker)
-    adapter = _REGISTRY.get(spec)
-    if adapter is None:
-        raise ConfigurationError(
-            f"worker {spec!r} has no batching adapter; register one with "
-            "repro.sweep.batching.register_batchable or run with "
-            "sweep_mode='scenario'"
-        )
-    return adapter
-
-
 @contextmanager
 def _gc_paused():
     """Pause generational collection for the duration of one chunk.
@@ -164,12 +180,12 @@ def _gc_paused():
 def run_scenario_group(*, worker: str, scenarios: Sequence[dict]) -> list:
     """Execute one chunk of scenarios for ``worker``, shape-batched.
 
-    This is the group trampoline the runner dispatches in ``sweep_mode="batch"``:
-    a module-level callable taking plain-data keywords, so every backend ships
-    it exactly like an ordinary worker (pool pickles it by reference, cluster
-    daemons import it by name) and the dispatch policy context wraps the whole
-    group call.  Returns one value per scenario, in input order, byte-identical
-    to ``worker(**params)`` per scenario.
+    This is the group trampoline the runner dispatches for batchable workers:
+    a module-level callable taking plain-data keywords, so a backend ships it
+    exactly like an ordinary worker (pool pickles it by reference) and the
+    dispatch policy context wraps the whole group call.  Returns one value
+    per scenario, in input order, byte-identical to ``worker(**params)`` per
+    scenario.
     """
     target = resolve_worker_spec(worker)
     adapter = _REGISTRY.get(worker)
@@ -189,21 +205,26 @@ def run_scenario_group(*, worker: str, scenarios: Sequence[dict]) -> list:
             key = (prepared.salt, prepared.resource_names, shape_key(prepared.batch))
             group = groups.get(key)
             if group is None:
-                groups[key] = group = _ShapeGroup(
-                    representative=prepared.batch,
-                    resource_names=prepared.resource_names,
-                )
-            group.positions.append(position)
-            group.columns.append(scenario_column(prepared.batch))
-            group.payloads.append(prepared.payload)
-            # prepared.batch is dropped here: its rows die young (the extracted
-            # column is all the stacked pass needs), except the representative's.
+                groups[key] = group = _ShapeGroup(resource_names=prepared.resource_names)
+            group.add(position, prepared.batch, prepared.payload)
+            # prepared.batch is dropped here once its group stacks: its rows
+            # die young (the extracted column is all the stacked pass needs),
+            # except the representative's.
 
         for group in groups.values():
-            plan = compile_plan(group.representative, group.resource_names)
-            stacked = schedule_group(plan, group.columns)
-            stacked.rows = group.representative.rows
-            finals = adapter.finalize_group(group.payloads, stacked)
+            if group.batches is None:
+                plan = compile_plan(group.representative, group.resource_names)
+                stacked = schedule_group(plan, group.columns)
+                stacked.rows = group.representative.rows
+                finals = adapter.finalize_group(group.payloads, stacked)
+            else:
+                engine = SimEngine("shape-group")
+                for name in group.resource_names:
+                    engine.add_resource(name)
+                finals = [
+                    adapter.finalize_group([payload], stack_solo(engine.run_vector(batch)))[0]
+                    for payload, batch in zip(group.payloads, group.batches)
+                ]
             for position, value in zip(group.positions, finals):
                 values[position] = value
     return values

@@ -32,8 +32,7 @@ is also recorded in a JSON manifest next to the pickles
 
 **Execution policy.**  A runner carries one resolved
 :class:`~repro.runtime.ExecutionPolicy` — ``jobs``, ``use_cache``,
-``cache_dir``, the simulation backends (``op_backend``, ``scheduler``,
-``auto_vector_threshold``) and the dispatch decision (``executor``,
+``cache_dir``, the middleware stack and the dispatch decision (``executor``,
 ``workers``) all come from it.  Pass ``policy=`` explicitly, or pass the
 individual keywords and the runner resolves the rest through the standard
 order (``repro.configure`` context > ``REPRO_*`` environment > defaults).
@@ -42,10 +41,9 @@ alongside the scenario parameters and activated as a
 :func:`repro.runtime.policy_context` around each worker call — in-process for
 serial runs, inside each pool process, on each cluster daemon — so
 worker-side resolution sees the parent's decisions at the context level and
-no environment variables are exported anywhere.  Backends are byte-identical
-(the whole point of the three-way differential harness), so the policy
-deliberately does **not** enter the cache key: a grid computed on one backend
-is a valid cache hit for the other.
+no environment variables are exported anywhere.  Executors are
+byte-identical, so the policy deliberately does **not** enter the cache key:
+a grid computed on one executor is a valid cache hit for another.
 
 **Dispatch.**  Scheduling and IPC live in :mod:`repro.dispatch`, not here:
 the runner resolves a backend name from the policy
@@ -55,6 +53,15 @@ the runner resolves a backend name from the policy
 backend.  Completed results are cached **as they arrive** — the entry pickle
 per outcome (that is what a resumed sweep loads), manifest records in small
 batches — so a sweep killed halfway resumes from everything that finished.
+
+**Shape batching.**  A worker that registered a batching adapter
+(:func:`repro.sweep.batching.register_batchable`) is dispatched in scenario
+*groups* on the local executors (serial and pool): each task runs
+:func:`repro.sweep.batching.run_scenario_group`, which stacks same-shape
+scenarios into one scheduling pass when the shape group is large enough to
+pay for it.  The cluster executor keeps one task per scenario, because its
+fault-tolerance granularity is a scenario.  Values and cache entries are
+byte-identical either way.
 """
 
 from __future__ import annotations
@@ -71,7 +78,7 @@ from repro.common.errors import ConfigurationError
 from repro.dispatch import Task, create_executor, select_backend, worker_spec
 from repro.obs.trace import maybe_span, tracing_enabled
 from repro.runtime import ExecutionPolicy, set_global_defaults, clear_global_defaults
-from repro.sweep.batching import batchable_adapter, is_batchable, run_scenario_group
+from repro.sweep.batching import is_batchable, run_scenario_group
 from repro.sweep.cache import CACHE_VERSION, record_entries
 from repro.sweep.result import SweepRecord, SweepResult
 from repro.sweep.spec import Scenario, SweepSpec
@@ -90,7 +97,6 @@ def configure_defaults(
     jobs: int | None = None,
     use_cache: bool | None = None,
     cache_dir: str | Path | None = None,
-    scheduler: str | None = None,
 ) -> None:
     """Set session-wide execution-policy defaults (None leaves a setting unchanged).
 
@@ -99,9 +105,7 @@ def configure_defaults(
     any active ``repro.configure(...)`` context or explicit argument still
     wins.  Prefer ``repro.configure`` for new code — it is scoped.
     """
-    set_global_defaults(
-        jobs=jobs, use_cache=use_cache, cache_dir=cache_dir, scheduler=scheduler
-    )
+    set_global_defaults(jobs=jobs, use_cache=use_cache, cache_dir=cache_dir)
 
 
 def reset_defaults() -> None:
@@ -127,33 +131,28 @@ class SweepRunner:
     pickle the callable by reference, cluster daemons import it by name).
     Execution is governed by one resolved
     :class:`~repro.runtime.ExecutionPolicy`, bound at construction: pass
-    ``policy=`` whole, or pass ``jobs``/``use_cache``/``cache_dir``/``scheduler``/
-    ``executor``/``workers`` as explicit arguments and let the runner resolve
-    the rest.  ``executor`` names the dispatch backend (``"auto"`` by default:
-    ``pool`` when ``jobs`` > 1, ``serial`` otherwise; ``"cluster"`` dispatches
-    over TCP-connected ``repro worker`` daemons, gated on ``workers`` of them
-    connecting); ``use_cache`` enables the on-disk result cache under
-    ``cache_dir``; ``scheduler`` pins the simulation scheduler backend workers
-    run on (``"auto"`` by default — each worker picks per scenario).  The
-    policy is serialized to every worker explicitly; no environment variables
-    are exported.  ``middleware`` declares the interception chain (spec
+    ``policy=`` whole, or pass ``jobs``/``use_cache``/``cache_dir``/
+    ``executor``/``workers``/``middleware`` as explicit arguments and let the
+    runner resolve the rest.  ``executor`` names the dispatch backend
+    (``"auto"`` by default: ``pool`` when ``jobs`` > 1, ``serial`` otherwise;
+    ``"cluster"`` dispatches over TCP-connected ``repro worker`` daemons,
+    gated on ``workers`` of them connecting); ``use_cache`` enables the
+    on-disk result cache under ``cache_dir``.  The policy is serialized to
+    every worker explicitly; no environment variables are exported.
+    ``middleware`` declares the interception chain (spec
     strings — see :mod:`repro.middleware`) that wraps each task on whatever
     side executes it; observe-only chains never change values or cache
     entries (``tests/test_middleware.py`` proves byte-identity), and the
     middleware field — like every policy field — does not enter the cache key.
 
-    ``sweep_mode`` selects how scenarios are dispatched: ``"scenario"`` sends
-    one task per grid point; ``"batch"`` groups scenarios by DAG shape and
-    schedules each shape in one stacked vector pass
-    (:mod:`repro.sweep.batching` / :mod:`repro.sim.shapebatch`), which the
-    worker must support via a registered batching adapter; ``"auto"`` (the
-    default) picks ``batch`` when the adapter exists and the executor is
-    serial or pool.  Values and cache entries are byte-identical across modes
-    — a batched run fills the same per-scenario pickles a serial run reads.
+    A worker with a registered batching adapter runs in scenario groups on
+    the serial and pool executors (see the module docs); values and cache
+    entries are byte-identical to one task per scenario — a grouped run fills
+    the same per-scenario pickles a per-scenario run reads.
 
     ``executor_options`` are backend-specific keywords forwarded to
     :func:`repro.dispatch.create_executor` (the cluster backend takes
-    ``bind``, ``lease_timeout``, ``max_retries``, ``on_event``, ...).
+    ``bind``, ``lease_timeout``, ``on_event``, ...).
     ``progress`` is an optional callable receiving one event dict per
     completed scenario — cache hits included — with keys ``index``,
     ``scenario``, ``label``, ``cached``, ``worker``, ``wall_time``,
@@ -168,10 +167,8 @@ class SweepRunner:
         jobs: int | None = None,
         use_cache: bool | None = None,
         cache_dir: str | Path | None = None,
-        scheduler: str | None = None,
         executor: str | None = None,
         workers: int | None = None,
-        sweep_mode: str | None = None,
         middleware: Sequence[str] | str | None = None,
         policy: ExecutionPolicy | None = None,
         executor_options: Mapping[str, Any] | None = None,
@@ -184,26 +181,21 @@ class SweepRunner:
             if not isinstance(policy, ExecutionPolicy):
                 raise ConfigurationError("policy must be an ExecutionPolicy")
             if any(value is not None for value in
-                   (jobs, use_cache, cache_dir, scheduler, executor, workers,
-                    sweep_mode, middleware)):
+                   (jobs, use_cache, cache_dir, executor, workers, middleware)):
                 raise ConfigurationError(
                     "pass either policy= or individual jobs/use_cache/cache_dir/"
-                    "scheduler/executor/workers/sweep_mode/middleware arguments, "
-                    "not both"
+                    "executor/workers/middleware arguments, not both"
                 )
             self.policy = policy
         else:
             self.policy = ExecutionPolicy.resolve(
                 jobs=jobs, use_cache=use_cache, cache_dir=cache_dir,
-                scheduler=scheduler, executor=executor, workers=workers,
-                sweep_mode=sweep_mode, middleware=middleware,
+                executor=executor, workers=workers, middleware=middleware,
             )
         self.jobs = self.policy.jobs
         self.use_cache = self.policy.use_cache
         self.cache_dir = self.policy.cache_dir
-        self.scheduler = self.policy.scheduler
         self.executor = self.policy.executor
-        self.sweep_mode = self.policy.sweep_mode
         self._executor_options = dict(executor_options or {})
         self._progress = progress
         if select_backend(self.policy) != "serial" and \
@@ -327,42 +319,27 @@ class SweepRunner:
         options = self._executor_options if name == "cluster" else {}
         return create_executor(name, worker or self.worker, self.policy, **options)
 
-    def _effective_sweep_mode(self) -> str:
-        """``"batch"`` or ``"scenario"`` for this run (resolving ``"auto"``).
+    def _dispatches_groups(self) -> bool:
+        """Whether this run dispatches scenario groups instead of scenarios.
 
-        ``auto`` picks ``batch`` exactly when the worker registered a batching
-        adapter (:func:`repro.sweep.batching.register_batchable`) and the
-        executor is local (serial or pool) — cluster stays per-scenario unless
-        ``sweep_mode="batch"`` is requested explicitly, because its per-task
-        fault-tolerance granularity is a scenario.  An explicit ``"batch"``
-        with a worker that never registered an adapter is a configuration
-        error, not a silent downgrade.
+        Exactly when the worker registered a batching adapter and the
+        executor is local (serial or pool); cluster stays per-scenario,
+        because its per-task fault-tolerance granularity is a scenario.
         """
-        if self.sweep_mode == "batch":
-            batchable_adapter(self.worker)
-            return "batch"
-        if self.sweep_mode == "scenario":
-            return "scenario"
-        if select_backend(self.policy) in ("serial", "pool") and is_batchable(self.worker):
-            return "batch"
-        return "scenario"
+        return select_backend(self.policy) in ("serial", "pool") and \
+            is_batchable(self.worker)
 
     def _group_chunks(self, pending: list[int]) -> list[list[int]]:
         """Split pending scenario indices into one chunk per parallel slot.
 
-        Chunked dispatch is what makes the batched path cheap on distributed
-        backends: a pool of ``jobs`` processes receives ``jobs`` tasks of
+        A pool of ``jobs`` processes receives ``jobs`` tasks of
         ``⌈pending/jobs⌉`` scenarios each — per-task pickle overhead is paid
         per *chunk*, and each chunk is large enough for shape compilation to
         amortise.  Serial runs get one chunk (maximum sharing).
         """
-        name = select_backend(self.policy)
-        if name == "pool":
+        parallelism = 1
+        if select_backend(self.policy) == "pool":
             parallelism = max(1, min(self.jobs, len(pending)))
-        elif name == "cluster":
-            parallelism = max(1, self.policy.workers)
-        else:
-            parallelism = 1
         size = -(-len(pending) // parallelism)
         return [pending[start:start + size] for start in range(0, len(pending), size)]
 
@@ -373,7 +350,7 @@ class SweepRunner:
         Each task carries the worker's ``module:qualname`` spec plus a chunk
         of scenario parameter dicts; :func:`repro.sweep.batching.run_scenario_group`
         re-resolves both on the executing side, so the same task payload works
-        in-process, in pool processes and on cluster daemons.  Group outcomes
+        in-process and in pool processes.  Group outcomes
         fan back out into per-scenario completions — the cache and progress
         surfaces never see the difference (each scenario's ``wall_time`` is
         its chunk's share).
@@ -454,7 +431,7 @@ class SweepRunner:
                     tracing_enabled(self.policy), "sweep", seam="dispatch",
                     attrs={"scenarios": total, "pending": len(pending)},
                 ):
-                    if self._effective_sweep_mode() == "batch":
+                    if self._dispatches_groups():
                         self._run_batched(scenarios, pending, complete)
                     else:
                         tasks = [Task(index=index, params=scenarios[index].as_dict())
@@ -489,10 +466,8 @@ def run_sweep(
     jobs: int | None = None,
     use_cache: bool | None = None,
     cache_dir: str | Path | None = None,
-    scheduler: str | None = None,
     executor: str | None = None,
     workers: int | None = None,
-    sweep_mode: str | None = None,
     middleware: Sequence[str] | str | None = None,
     policy: ExecutionPolicy | None = None,
     executor_options: Mapping[str, Any] | None = None,
@@ -502,8 +477,7 @@ def run_sweep(
     spec = SweepSpec.build(axes, base)
     runner = SweepRunner(
         worker, jobs=jobs, use_cache=use_cache, cache_dir=cache_dir,
-        scheduler=scheduler, executor=executor, workers=workers,
-        sweep_mode=sweep_mode, middleware=middleware, policy=policy,
+        executor=executor, workers=workers, middleware=middleware, policy=policy,
         executor_options=executor_options, progress=progress,
     )
     return runner.run(spec)

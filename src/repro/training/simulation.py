@@ -15,49 +15,23 @@ The builder chains several iterations in a single schedule so that transfers spi
 past the nominal end of the update phase (Figure 5, bottom) are charged against the
 next iteration exactly as they would be on real hardware (the Figure 9 experiment).
 
-Two op-construction backends feed the engine:
+Each iteration's operations are appended as row tuples to an
+:class:`~repro.sim.opbatch.OpBatch` (:func:`build_iteration_rows`) and
+scheduled on the struct-of-arrays kernel of :mod:`repro.sim.veckernel` via
+:meth:`~repro.sim.engine.SimEngine.run_vector`.  Sweeps split the same
+pipeline in two (:func:`prepare_simulation` / :func:`finalize_simulation`) so
+that same-shape scenarios can share one stacked pass
+(:mod:`repro.sweep.batching`).
 
-* ``"objects"`` — the original eager path: one :class:`~repro.sim.ops.SimOp` per
-  operation, submitted through :meth:`~repro.sim.engine.SimEngine.submit`;
-* ``"batch"`` (the default) — the array-batched path: operations are appended as row
-  tuples to an :class:`~repro.sim.opbatch.OpBatch` and scheduled through
-  :meth:`~repro.sim.engine.SimEngine.run_batch`, which skips per-op Python-object
-  construction and is several times faster beyond ~10k subgroups.
-
-Both backends produce byte-identical schedules and bookkeeping — enforced by
-``tests/test_opbatch_equivalence.py`` — so every metric derived from a
-:class:`SimulationResult` is backend-independent.  Strategies that do not
-implement the row builders fall back to the eager path; the downgrade is
-recorded in :attr:`SimulationResult.resolved_policy` and warned once per
-strategy (:class:`~repro.runtime.OpBackendFallbackWarning`).
-
-Orthogonally, a *scheduler backend* selects the engine that turns the submitted
-operations into a schedule:
-
-* ``"heap"`` — the ready-set heap of
-  :meth:`~repro.sim.engine.SimEngine.run` / :meth:`~repro.sim.engine.SimEngine.run_batch`;
-* ``"vector"`` — the struct-of-arrays kernel of :mod:`repro.sim.veckernel`
-  via :meth:`~repro.sim.engine.SimEngine.run_vector`, whose scheduling is
-  several times faster on very large scenarios;
-* ``"auto"`` (the default) — picks ``vector`` when the DAG's op count reaches
-  ``ExecutionPolicy.auto_vector_threshold`` and ``heap`` below it.
-
-Scheduler backends are byte-identical (the three-way differential harness in
-``tests/test_engine_equivalence.py`` is the proof), so the choice is purely a
-performance knob: any combination of op backend and scheduler backend yields the
-same :class:`SimulationResult`.
-
-Both choices arrive through one :class:`~repro.runtime.ExecutionPolicy` — pass
-``policy=`` explicitly, activate a ``repro.configure(...)`` context, or set the
-``REPRO_SIM_OP_BACKEND``/``REPRO_SIM_SCHEDULER`` environment variables; see
-:mod:`repro.runtime` for the resolution order.  The ``op_backend=`` /
-``scheduler_backend=`` keywords survive as deprecation shims over the same
-resolver.
+:func:`build_iteration` is the eager twin of the row builder: one
+:class:`~repro.sim.ops.SimOp` per operation, submitted through
+:meth:`~repro.sim.engine.SimEngine.submit`.  No production path calls it; it
+is the reference the golden suite (``tests/test_opbatch_equivalence.py``)
+compares the row builder against, field by field.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from repro.common.errors import ConfigurationError
@@ -67,21 +41,11 @@ from repro.core.sim_executor import UpdatePhaseOps
 from repro.model.flops import backward_compute_seconds, forward_compute_seconds
 from repro.middleware import build_chain, effective_middleware_specs
 from repro.precision.dtypes import DType
-from repro.sim.engine import (
-    SCHEDULER_BACKENDS,  # noqa: F401  (public re-export)
-    Schedule,
-    SimEngine,
-    standard_resources,
-)
+from repro.sim.engine import Schedule, SimEngine, standard_resources
 from repro.sim.opbatch import OpBatch
 from repro.sim.ops import OpKind, SimOp, next_op_id
 from repro.sim.trace import MemoryTimeline, ThroughputTimeline
-from repro.runtime import (
-    SIMULATION_FIELDS,
-    ExecutionPolicy,
-    OpBackendFallbackWarning,
-    ResolvedExecution,
-)
+from repro.runtime import SIMULATION_FIELDS, ExecutionPolicy, ResolvedExecution
 from repro.training.config import ResolvedJob
 from repro.training.metrics import IterationBreakdown
 from repro.zero.collectives import allgather_seconds, reduce_scatter_seconds
@@ -110,12 +74,11 @@ class SimulationResult:
     """A schedule plus the per-iteration op bookkeeping needed to interpret it.
 
     ``resolved_policy`` records what actually ran — the resolved
-    :class:`~repro.runtime.ExecutionPolicy` plus the *effective* op and
-    scheduler backends after the strategy-capability fallback and the
-    ``auto`` threshold decision.  ``precomputed_breakdowns`` is set by the
-    shape-batched sweep path (:mod:`repro.sweep.batching`), which computes
-    every scenario's breakdowns in one vectorised pass; the values are
-    bit-identical to what :meth:`breakdown` would derive from the schedule.
+    :class:`~repro.runtime.ExecutionPolicy`, the kernel and the op count.
+    ``precomputed_breakdowns`` is set by the shape-batched sweep path
+    (:mod:`repro.sweep.batching`), which computes every scenario's breakdowns
+    in one vectorised pass; the values are bit-identical to what
+    :meth:`breakdown` would derive from the schedule.
     """
 
     job: ResolvedJob
@@ -428,137 +391,39 @@ def build_iteration_rows(
     return record
 
 
-# Strategies already warned about missing row builders (one warning per
-# strategy per process; see OpBackendFallbackWarning).
-_FALLBACK_WARNED: set[str] = set()
-
-
-def reset_fallback_warnings() -> None:
-    """Forget which strategies were warned about (used by tests)."""
-    _FALLBACK_WARNED.clear()
-
-
-def _deprecated_backend_kwarg(name: str, policy_field: str) -> None:
-    warnings.warn(
-        f"simulate_job({name}=...) is deprecated; pass "
-        f"policy=ExecutionPolicy({policy_field}=...) or activate a "
-        f"repro.configure({policy_field}=...) context instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 def simulate_job(
     job: ResolvedJob,
     iterations: int = 1,
     *,
     policy: ExecutionPolicy | None = None,
-    op_backend: str | None = None,
-    scheduler_backend: str | None = None,
 ) -> SimulationResult:
     """Simulate ``iterations`` chained training iterations of ``job``.
 
-    ``policy`` pins the execution policy for this call; ``None`` resolves one
-    through the standard order (active ``repro.configure`` context, then
-    ``REPRO_*`` environment variables, then defaults — see
-    :meth:`repro.runtime.ExecutionPolicy.resolve`).  The policy decides:
-
-    * the **op backend** — ``"batch"`` (array-batched rows, the default) or
-      ``"objects"`` (eager per-``SimOp``).  Strategies without row builders
-      fall back to the eager path; the downgrade is recorded in the result's
-      ``resolved_policy`` and warned once per strategy.
-    * the **scheduler backend** — ``"heap"``, ``"vector"``, or ``"auto"``
-      (the default), which picks the vector kernel when the op count reaches
-      ``policy.auto_vector_threshold`` and the heap below it.
-
-    Every combination is schedule-identical (enforced by
-    ``tests/test_opbatch_equivalence.py`` and the three-way differential
-    harness in ``tests/test_engine_equivalence.py``), so the policy is purely
-    a performance knob.  The legacy ``op_backend=`` / ``scheduler_backend=``
-    keywords still work as deprecated shims over the same resolver and cannot
-    be combined with ``policy=``.
+    The op rows are built by :func:`prepare_simulation` and scheduled on the
+    vector kernel.  ``policy`` pins the execution policy for this call;
+    ``None`` resolves one through the standard order (active
+    ``repro.configure`` context, then ``REPRO_*`` environment variables, then
+    defaults — see :meth:`repro.runtime.ExecutionPolicy.resolve`).  Only its
+    middleware chain (the engine seam) and tracing apply here.
     """
     if iterations <= 0:
         raise ConfigurationError("iterations must be positive")
-    legacy: dict[str, str] = {}
-    if op_backend is not None:
-        _deprecated_backend_kwarg("op_backend", "op_backend")
-        legacy["op_backend"] = op_backend
-    if scheduler_backend is not None:
-        _deprecated_backend_kwarg("scheduler_backend", "scheduler")
-        legacy["scheduler"] = scheduler_backend
     if policy is None:
         # Only the simulation-relevant fields consult the environment: a
         # broken sweep-level variable must not fail a call that never reads it.
-        policy = ExecutionPolicy.resolve(env_fields=SIMULATION_FIELDS, **legacy)
-    elif legacy:
-        raise ConfigurationError(
-            "pass either policy= or the deprecated op_backend=/scheduler_backend= "
-            "keywords, not both"
-        )
+        policy = ExecutionPolicy.resolve(env_fields=SIMULATION_FIELDS)
     elif not isinstance(policy, ExecutionPolicy):
         raise ConfigurationError("policy must be an ExecutionPolicy")
 
-    backend = policy.op_backend
-    fallback = False
-    fallback_reason = ""
-    if backend == "batch" and not job.strategy.supports_op_batch():
-        backend = "objects"
-        fallback = True
-        fallback_reason = (
-            f"strategy {job.strategy.name!r} does not implement the op-batch "
-            "row builders; simulated through the eager 'objects' path instead"
-        )
-        if job.strategy.name not in _FALLBACK_WARNED:
-            _FALLBACK_WARNED.add(job.strategy.name)
-            warnings.warn(
-                fallback_reason + " (schedules are identical; this warning is "
-                "emitted once per strategy)",
-                OpBackendFallbackWarning,
-                stacklevel=2,
-            )
+    prepared = prepare_simulation(job, iterations, policy=policy)
     engine = SimEngine(name=f"{job.model.name}-{job.strategy.name}")
     standard_resources(engine)
     effective_specs = effective_middleware_specs(policy)
     if effective_specs:
-        # The engine seam: the policy's chain intercepts each run()/run_batch()/
-        # run_vector() pass as a whole (see docs/middleware.md).
+        # The engine seam: the policy's chain intercepts the run_vector() pass
+        # as a whole (see docs/middleware.md).
         engine.install_middleware(build_chain(effective_specs), policy=policy)
-
-    if backend == "batch":
-        prepared = prepare_simulation(job, iterations, policy=policy)
-        scheduler = policy.select_scheduler(prepared.op_count)
-        schedule = (
-            engine.run_vector(prepared.batch)
-            if scheduler == "vector"
-            else engine.run_batch(prepared.batch)
-        )
-        return finalize_simulation(prepared, schedule, scheduler=scheduler)
-
-    records: list[IterationOps] = []
-    start_deps: tuple[int, ...] = ()
-    for index in range(iterations):
-        record = build_iteration(engine, job, index, start_deps)
-        records.append(record)
-        start_deps = tuple(record.update.params_ready_ops)
-    op_count = engine.pending_ops
-    scheduler = policy.select_scheduler(op_count)
-    schedule = engine.run_vector() if scheduler == "vector" else engine.run()
-    resolved = ResolvedExecution(
-        policy=policy,
-        op_backend=backend,
-        scheduler=scheduler,
-        op_count=op_count,
-        op_backend_fallback=fallback,
-        fallback_reason=fallback_reason,
-    )
-    return SimulationResult(
-        job=job,
-        schedule=schedule,
-        iterations=records,
-        initial_gpu_bytes=_initial_gpu_bytes(job),
-        resolved_policy=resolved,
-    )
+    return finalize_simulation(prepared, engine.run_vector(prepared.batch))
 
 
 def _initial_gpu_bytes(job: ResolvedJob) -> int:
@@ -572,11 +437,11 @@ def _initial_gpu_bytes(job: ResolvedJob) -> int:
 
 @dataclass
 class PreparedSimulation:
-    """The op-construction half of a batch-backend simulation, before scheduling.
+    """The op-construction half of a simulation, before scheduling.
 
     :func:`prepare_simulation` builds the op rows and the per-iteration
     bookkeeping; the schedule itself can then come from anywhere — the solo
-    paths in :func:`simulate_job`, or one column of a shape-batched
+    vector run in :func:`simulate_job`, or one column of a shape-batched
     :class:`~repro.sim.shapebatch.StackedSchedule` when a sweep schedules many
     prepared scenarios at once.  :func:`finalize_simulation` reassembles the
     pieces into the exact :class:`SimulationResult` the solo path returns.
@@ -597,11 +462,8 @@ def prepare_simulation(
 ) -> PreparedSimulation:
     """Build the op rows of ``iterations`` chained iterations without scheduling.
 
-    Only the ``"batch"`` op backend can be split this way; strategies without
-    row builders (``supports_op_batch()`` false) raise
-    :class:`~repro.common.errors.ConfigurationError` — callers that cannot
-    guarantee support (the sweep batching adapter) must check first and fall
-    back to :func:`simulate_job`.
+    Strategies without row builders (``supports_op_batch()`` false) cannot
+    be simulated and raise :class:`~repro.common.errors.ConfigurationError`.
     """
     if iterations <= 0:
         raise ConfigurationError("iterations must be positive")
@@ -610,7 +472,8 @@ def prepare_simulation(
     if not job.strategy.supports_op_batch():
         raise ConfigurationError(
             f"strategy {job.strategy.name!r} does not implement the op-batch row "
-            "builders; prepare_simulation only supports the 'batch' op backend"
+            "builders (build_update_phase_rows / flush_row_builder), which "
+            "simulation requires"
         )
     batch = OpBatch()
     records: list[IterationOps] = []
@@ -645,11 +508,8 @@ def finalize_simulation(
     """
     resolved = ResolvedExecution(
         policy=prepared.policy,
-        op_backend="batch",
         scheduler=scheduler,
         op_count=prepared.op_count,
-        op_backend_fallback=False,
-        fallback_reason="",
     )
     return SimulationResult(
         job=prepared.job,

@@ -44,8 +44,8 @@ def slow_echo(x=0, delay=0.0):
 def policy_probe(**params):
     """Report the execution policy the worker-side resolution context yields."""
     resolved = ExecutionPolicy.resolve()
-    return {"scheduler": resolved.scheduler,
-            "auto_vector_threshold": resolved.auto_vector_threshold,
+    return {"pipeline_schedule": resolved.pipeline_schedule,
+            "workers": resolved.workers,
             "sources": sorted(set(resolved.sources.values()))}
 
 

@@ -164,7 +164,7 @@ def test_sweep_command_cache_evict(tmp_path, capsys):
 def test_sweep_command_numeric_executor(tmp_path, capsys):
     assert main([
         "sweep",
-        "--executor", "numeric",
+        "--worker", "numeric",
         "--models", "nano",
         "--strategies", "zero3-offload,deep-optimizer-states",
         "--iterations", "2",
@@ -184,11 +184,11 @@ def test_sweep_command_numeric_rejects_machines():
     from repro.common.errors import ConfigurationError
 
     with pytest.raises(ConfigurationError):
-        main(["sweep", "--executor", "numeric", "--machines", "jlse-4xh100"])
+        main(["sweep", "--worker", "numeric", "--machines", "jlse-4xh100"])
 
 
 def test_sweep_worker_flag_replaces_executor_alias(tmp_path, capsys):
-    """--worker numeric is the modern spelling of --executor numeric."""
+    """--worker numeric is the only spelling; --executor names dispatch backends."""
     assert main([
         "sweep",
         "--worker", "numeric",
@@ -199,31 +199,25 @@ def test_sweep_worker_flag_replaces_executor_alias(tmp_path, capsys):
     ]) == 0
     output = capsys.readouterr().out
     assert "final_loss" in output
-
-
-def test_sweep_executor_alias_warns_and_conflicts(capsys):
-    # The deprecated alias still parses and routes to the numeric worker...
-    args = build_parser().parse_args(["sweep", "--executor", "numeric"])
-    assert args.executor == "numeric" and args.worker_kind is None
-    # ...but contradicting --worker is an error.
-    from repro.common.errors import ConfigurationError
-
-    with pytest.raises(ConfigurationError, match="conflicts"):
-        main(["sweep", "--executor", "numeric", "--worker", "training"])
+    for alias in ("numeric", "training"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep", "--executor", alias])
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_sweep_parser_accepts_cluster_flags():
     args = build_parser().parse_args([
         "sweep", "--executor", "cluster", "--workers", "2",
-        "--bind", "127.0.0.1:7931", "--lease-timeout", "5",
-        "--max-retries", "1", "--progress",
+        "--bind", "127.0.0.1:7931", "--lease-timeout", "5", "--progress",
     ])
     assert args.executor == "cluster"
     assert args.workers == 2
     assert args.bind == "127.0.0.1:7931"
     assert args.lease_timeout == 5.0
-    assert args.max_retries == 1
     assert args.progress
+    # The retry bound is declared as policy (--middleware retry:attempts=N).
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["sweep", "--max-retries", "1"])
 
 
 def test_worker_parser_accepts_daemon_flags():

@@ -343,8 +343,8 @@ def test_no_execution_policy_field_reaches_the_cache_key(tmp_path):
     """Same worker + scenario => same cache entry under *any* policy.
 
     A grid computed on a cluster must be a cache hit for a serial re-run (and
-    vice versa), so jobs/executor/workers/scheduler/op_backend/threshold must
-    all stay out of the key.
+    vice versa), so jobs/executor/workers/middleware/trace must all stay out
+    of the key.
     """
     scenario = next(iter(SweepSpec.build({"x": (1,)}).scenarios()))
     policies = [
@@ -353,9 +353,8 @@ def test_no_execution_policy_field_reaches_the_cache_key(tmp_path):
         ExecutionPolicy(use_cache=True, cache_dir=tmp_path, executor="cluster",
                         workers=4),
         ExecutionPolicy(use_cache=True, cache_dir=tmp_path, executor="pool",
-                        jobs=2, scheduler="vector"),
-        ExecutionPolicy(use_cache=True, cache_dir=tmp_path, op_backend="objects",
-                        scheduler="heap", auto_vector_threshold=1),
+                        jobs=2, middleware=("timing",)),
+        ExecutionPolicy(use_cache=True, cache_dir=tmp_path, trace=True),
     ]
     paths = {
         SweepRunner(dispatch_workers.echo_params, policy=policy)._cache_path(scenario)

@@ -43,7 +43,7 @@ from repro.dispatch import (
     Task,
     WorkerClient,
 )
-from repro.runtime import ExecutionPolicy
+from repro.runtime import ExecutionPolicy, configure
 from repro.sweep import SweepRunner, SweepSpec
 from repro.sweep.cache import load_manifest
 
@@ -95,15 +95,13 @@ def daemons():
 
 
 def _cluster_runner(worker, port: int, *, workers: int = 2, events: list | None = None,
-                    lease_timeout: float = FAST_LEASE, max_retries: int | None = None,
+                    lease_timeout: float = FAST_LEASE,
                     progress=None, **kwargs) -> SweepRunner:
     options = {
         "bind": f"127.0.0.1:{port}",
         "lease_timeout": lease_timeout,
         "worker_wait_timeout": 30.0,
     }
-    if max_retries is not None:  # deprecated knob; the retry spec is the norm
-        options["max_retries"] = max_retries
     if events is not None:
         options["on_event"] = events.append
     kwargs.setdefault("use_cache", False)
@@ -139,11 +137,13 @@ def test_cluster_ships_the_policy_to_daemons(daemons):
     spec = SweepSpec.build({"x": (1, 2)})
     port = _free_port()
     daemons(port, "w1")
-    result = _cluster_runner(dispatch_workers.policy_probe, port, workers=1,
-                             scheduler="vector").run(spec)
+    with configure(pipeline_schedule="zb"):
+        runner = _cluster_runner(dispatch_workers.policy_probe, port, workers=1)
+    result = runner.run(spec)
     for value in result.values():
         # The daemon resolved the coordinator's decisions at the context level.
-        assert value["scheduler"] == "vector"
+        assert value["pipeline_schedule"] == "zb"
+        assert value["workers"] == 1
         assert value["sources"] == ["context"]
 
 
@@ -416,16 +416,6 @@ def test_retry_bound_derives_from_the_retry_middleware_spec():
     assert executor._max_retries == 7
     bare = ClusterExecutor(dispatch_workers.echo_params, ExecutionPolicy())
     assert bare._max_retries == DEFAULT_MAX_RETRIES
-
-
-def test_explicit_max_retries_is_deprecated_but_still_wins():
-    """Regression for the deprecation shim: the legacy knob warns yet is honored."""
-    policy = ExecutionPolicy(executor="cluster", workers=1,
-                             middleware=("retry:attempts=5",))
-    with pytest.warns(DeprecationWarning, match="max_retries"):
-        executor = ClusterExecutor(dispatch_workers.echo_params, policy,
-                                   max_retries=1)
-    assert executor._max_retries == 1
 
 
 def test_workers_exit_cleanly_on_coordinator_shutdown(daemons):

@@ -18,7 +18,8 @@ ids), long same-resource chains, and single-resource workloads (pure FIFO).
 
 Exact equality is the point: all schedulers must compute identical start times
 through identical ``max()`` chains, not merely close ones — this is what lets
-``simulate_job`` treat the backend choice as a pure performance knob.
+``simulate_job`` run on the vector kernel alone while the heap paths stay on as
+test oracles.
 """
 
 from dataclasses import dataclass
@@ -408,74 +409,75 @@ def test_schedulers_match_on_lowered_pipeline_schedules():
 
 # --------------------------------------------------- policy resolution paths
 #
-# The harness above proves the *backends* identical on raw DAGs; this section
-# extends it through ``simulate_job``'s policy resolution: every way a caller
-# can select a scheduler — explicit policy, auto above/below threshold,
-# environment, configure() context, deprecated keyword — must land on the
-# same byte-identical schedule, or the policy layer added semantics it must
-# never have.
+# The harness above proves the kernels identical on raw DAGs; this section
+# extends it through ``simulate_job``: however a caller resolves its policy —
+# defaults, an explicit policy, a configure() context, the environment — the
+# vector-kernel schedule must equal what the heap oracles compute from the same
+# job, through both the eager builder and the row builder.
 
 
 def _policy_resolution_paths(monkeypatch):
-    """(label, callable) pairs covering every scheduler-resolution path."""
+    """(label, callable) pairs covering every policy-resolution path."""
     from repro.runtime import ExecutionPolicy, configure
 
     def via_env(job):
-        monkeypatch.setenv("REPRO_SIM_SCHEDULER", "vector")
+        monkeypatch.setenv("REPRO_MIDDLEWARE", "timing")
         try:
             return simulate_job(job, 1)
         finally:
-            monkeypatch.delenv("REPRO_SIM_SCHEDULER")
+            monkeypatch.delenv("REPRO_MIDDLEWARE")
 
     def via_context(job):
-        with configure(scheduler="vector"):
+        with configure(middleware="timing,logging"):
             return simulate_job(job, 1)
 
-    def via_auto_above(job):
-        with configure(auto_vector_threshold=1):
-            return simulate_job(job, 1)
-
-    def via_auto_below(job):
-        with configure(auto_vector_threshold=10**9):
-            return simulate_job(job, 1)
-
-    # The deprecated scheduler_backend= kwarg is deliberately absent here:
-    # internal callers are fully migrated to policy=, and the shim's own
-    # agreement with the policy path is pinned by the dedicated regression
-    # test (test_runtime_policy.test_legacy_kwargs_warn_and_match_policy_path).
     return [
-        ("policy-heap", lambda job: simulate_job(job, 1, policy=ExecutionPolicy(scheduler="heap"))),
-        ("policy-vector", lambda job: simulate_job(job, 1, policy=ExecutionPolicy(scheduler="vector"))),
-        ("auto-above-threshold", via_auto_above),
-        ("auto-below-threshold", via_auto_below),
+        ("default", lambda job: simulate_job(job, 1)),
+        ("policy", lambda job: simulate_job(job, 1, policy=ExecutionPolicy(trace=True))),
         ("env", via_env),
         ("context", via_context),
     ]
 
 
+def _heap_oracles(job):
+    """(label, triples) of the heap engine fed by the eager and the row builder."""
+    from repro.sim.engine import standard_resources
+    from repro.sim.ops import reset_op_counter
+    from repro.training.simulation import build_iteration, prepare_simulation
+
+    reset_op_counter()
+    eager = SimEngine()
+    standard_resources(eager)
+    build_iteration(eager, job, 0)
+    reset_op_counter()
+    rows = SimEngine()
+    standard_resources(rows)
+    batch = prepare_simulation(job, 1).batch
+    return [
+        ("heap-eager", [(i.op.op_id, i.start, i.end) for i in eager.run().ops]),
+        ("heap-rows", [(i.op.op_id, i.start, i.end) for i in rows.run_batch(batch).ops]),
+    ]
+
+
 def test_simulate_job_resolution_paths_are_schedule_identical(monkeypatch):
-    """All resolution paths (arg/context/env/auto/legacy) agree bit for bit."""
+    """All resolution paths agree bit for bit with both heap oracles."""
+    from repro.obs.trace import reset_tracing
     from repro.sim.ops import reset_op_counter
     from repro.training.config import TrainingJobConfig
 
-    monkeypatch.delenv("REPRO_SIM_SCHEDULER", raising=False)
-    monkeypatch.delenv("REPRO_SIM_OP_BACKEND", raising=False)
-    monkeypatch.delenv("REPRO_AUTO_VECTOR_THRESHOLD", raising=False)
+    monkeypatch.delenv("REPRO_MIDDLEWARE", raising=False)
     job = TrainingJobConfig(model="7B", strategy="deep-optimizer-states",
                             check_memory=False).resolve()
-    reference = None
-    selected = {}
-    for label, run in _policy_resolution_paths(monkeypatch):
-        reset_op_counter()
-        result = run(job)
-        triples = [(item.op.op_id, item.start, item.end) for item in result.schedule.ops]
-        if reference is None:
-            reference = triples
-        else:
-            assert triples == reference, f"path {label!r} diverged from the reference"
-        selected[label] = result.resolved_policy.scheduler
-    # The auto paths really exercised both sides of the threshold.
-    assert selected["auto-above-threshold"] == "vector"
-    assert selected["auto-below-threshold"] == "heap"
-    assert selected["policy-heap"] == "heap"
-    assert selected["env"] == "vector"
+    oracles = _heap_oracles(job)
+    reference = oracles[0][1]
+    for label, triples in oracles[1:]:
+        assert triples == reference, f"oracle {label!r} diverged from heap-eager"
+    try:
+        for label, run in _policy_resolution_paths(monkeypatch):
+            reset_op_counter()
+            result = run(job)
+            triples = [(item.op.op_id, item.start, item.end) for item in result.schedule.ops]
+            assert triples == reference, f"path {label!r} diverged from the heap oracles"
+            assert result.resolved_policy.scheduler == "vector"
+    finally:
+        reset_tracing()

@@ -202,3 +202,53 @@ def test_experiment_result_formatting():
     assert "[table2]" in text
     assert "model" in text
     assert result.column("model") == ["7B", "8.3B", "10B", "13B", "20B"]
+
+
+def test_paper_evaluation_and_serve_simulate_never_touch_the_heap_or_eager_paths(monkeypatch):
+    """The heap engine and the eager ``SimOp`` builders survive only as test
+    oracles: the whole evaluation and a serve ``simulate`` run without them."""
+    from repro.serve import ServeClient, ServerThread
+    from repro.sim.engine import SimEngine
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("production code reached a test-oracle path")
+
+    for name in ("run", "run_batch", "submit"):
+        monkeypatch.setattr(SimEngine, name, forbidden)
+    for experiment_id in sorted(EXPERIMENT_MODULES):
+        assert run_experiment(experiment_id).format()
+    with ServerThread() as running, ServeClient(running.address) as client:
+        report = client.request("simulate", {"model": "7B", "strategy": "twinflow",
+                                             "cpu_cores_per_gpu": 8})
+    assert report["breakdowns"] and not report["oom"]
+
+
+@pytest.mark.parametrize("strategy", ["twinflow", "deep-optimizer-states"])
+def test_fig5_rows_match_the_eager_update_builders_on_the_heap(strategy):
+    """fig5 runs the row builders on the vector kernel; the eager builders on
+    the heap engine are the oracle it must reproduce op for op."""
+    from repro.core.sim_executor import build_blocking_offload_update, build_interleaved_update
+    from repro.experiments.fig05_update_timeline import _simulate
+    from repro.hardware.contention import HostContentionModel
+    from repro.hardware.presets import get_machine_preset
+    from repro.hardware.throughput import ThroughputProfile
+    from repro.sim.engine import SimEngine, standard_resources
+    from repro.sim.ops import reset_op_counter
+
+    profile = ThroughputProfile.from_machine(get_machine_preset("jlse-4xh100"))
+    reset_op_counter()
+    plan, schedule, ops, ready = _simulate(strategy, profile, 8, 100_000_000, 3)
+    reset_op_counter()
+    engine = SimEngine()
+    standard_resources(engine)
+    sizes = {index: 100_000_000 for index in range(8)}
+    if strategy == "twinflow":
+        eager_ops = build_blocking_offload_update(engine, profile, plan, sizes)
+    else:
+        eager_ops = build_interleaved_update(engine, profile, plan, sizes,
+                                             contention=HostContentionModel())
+    eager = engine.run()
+    assert [(item.op.name, item.start, item.end) for item in schedule.ops] == \
+        [(item.op.name, item.start, item.end) for item in eager.ops]
+    assert ops.params_ready_ops == eager_ops.params_ready_ops
+    assert ready == max(eager.by_id(op).end for op in eager_ops.params_ready_ops)

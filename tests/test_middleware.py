@@ -58,11 +58,15 @@ from repro.middleware import (
 from repro.experiments.base import run_training
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import TraceMiddleware, reset_tracing, snapshot_spans
-from repro.runtime import ExecutionPolicy
+from repro.common.serialization import to_dict
+from repro.dispatch import worker_spec
+from repro.runtime import ExecutionPolicy, configure
+from repro.sim.engine import SimEngine, standard_resources
 from repro.sim.ops import reset_op_counter
 from repro.sweep import SweepRunner, SweepSpec
+from repro.sweep.batching import run_scenario_group
 from repro.training.config import TrainingJobConfig
-from repro.training.simulation import simulate_job
+from repro.training.simulation import prepare_simulation, simulate_job
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -505,20 +509,29 @@ def job():
                              check_memory=False).resolve()
 
 
-def _schedule_triples(result):
-    return [(item.op.op_id, item.start, item.end) for item in result.schedule.ops]
+def _schedule_triples(schedule):
+    return [(item.op.op_id, item.start, item.end) for item in schedule.ops]
 
 
 @pytest.mark.parametrize("chain", [OBSERVERS] + TRACED_CHAINS)
 @pytest.mark.parametrize("scheduler", ["heap", "vector"])
 def test_engine_seam_chain_yields_byte_identical_schedules(job, scheduler, chain):
-    reset_op_counter()
-    bare = simulate_job(job, 2, policy=ExecutionPolicy(scheduler=scheduler))
-    reset_op_counter()
-    chained = simulate_job(job, 2, policy=ExecutionPolicy(
-        scheduler=scheduler, middleware=chain))
+    if scheduler == "vector":  # the production path: simulate_job's kernel
+        reset_op_counter()
+        bare = simulate_job(job, 2).schedule
+        reset_op_counter()
+        chained = simulate_job(job, 2, policy=ExecutionPolicy(middleware=chain)).schedule
+    else:  # the heap oracle, chain installed on the engine directly
+        batch = prepare_simulation(job, 2).batch
+        engines = []
+        for specs in ((), chain):
+            engine = SimEngine()
+            standard_resources(engine)
+            engine.install_middleware(build_chain(specs), policy=ExecutionPolicy())
+            engines.append(engine)
+        bare, chained = (engine.run_batch(batch) for engine in engines)
     assert _schedule_triples(chained) == _schedule_triples(bare)
-    assert chained.schedule.makespan == bare.schedule.makespan
+    assert chained.makespan == bare.makespan
     # The chain genuinely intercepted: the observers saw the engine seam.
     if "timing" in chain:
         assert middleware_metrics()["engine"]["count"] >= 1
@@ -586,17 +599,20 @@ def _projection(result) -> str:
 
 
 def test_batch_mode_sweep_with_observers_is_byte_identical():
-    """Shape-batched dispatch under a chain matches both unchained modes."""
+    """Shape-batched dispatch under a chain matches the unchained sweep and
+    ``run_scenario_group`` under the chain matches ``run_training`` per scenario."""
     spec = SweepSpec.build(TRAIN_GRID, TRAIN_BASE)
-    bare_batch = SweepRunner(run_training, use_cache=False,
-                             sweep_mode="batch").run(spec)
-    chained_batch = SweepRunner(run_training, use_cache=False, sweep_mode="batch",
+    bare_batch = SweepRunner(run_training, use_cache=False).run(spec)
+    chained_batch = SweepRunner(run_training, use_cache=False,
                                 middleware=OBSERVERS).run(spec)
-    chained_scenario = SweepRunner(run_training, use_cache=False,
-                                   sweep_mode="scenario",
-                                   middleware=OBSERVERS).run(spec)
     assert _projection(chained_batch) == _projection(bare_batch)
-    assert _projection(chained_scenario) == _projection(bare_batch)
+    params = [scenario.as_dict() for scenario in spec.scenarios()]
+    with configure(middleware=OBSERVERS):
+        grouped = run_scenario_group(worker=worker_spec(run_training), scenarios=params)
+        solo = [run_training(**item) for item in params]
+    assert [to_dict(value) for value in grouped] == [to_dict(value) for value in solo]
+    assert [to_dict(record.value) for record in bare_batch.records] == \
+        [to_dict(value) for value in solo]
 
 
 @pytest.mark.parametrize("chain", [("timing", "logging"),

@@ -5,29 +5,30 @@ Two layers of guarantees:
 * **engine layer** — ``SimEngine.run_batch`` over an :class:`OpBatch` must produce a
   byte-identical :class:`Schedule` to expanding the same batch through
   ``submit()``/``run()`` (same op ids, names, dependency tuples and exact floats);
-* **simulation layer** — ``simulate_job`` under ``op_backend="batch"`` must match
-  ``op_backend="objects"`` bit for bit, for every offloading strategy, including
-  all the per-iteration bookkeeping the metrics are derived from.
+* **simulation layer** — ``simulate_job`` (row builders on the vector kernel)
+  must match the eager ``SimOp`` builders scheduled on the heap engine bit for
+  bit, for every offloading strategy, including all the per-iteration
+  bookkeeping the metrics are derived from.
 
 Exact float equality is intentional: both paths must compute start times through
-identical ``max()`` chains, not merely close ones.  Backends are selected
-through :class:`~repro.runtime.ExecutionPolicy`; the deprecated ``op_backend=``/
-``scheduler_backend=`` keyword shims are pinned (DeprecationWarning plus
-policy-path equality) by the regression tests in ``tests/test_runtime_policy.py``.
+identical ``max()`` chains, not merely close ones.
 """
 
 import random
-import warnings
 
 import pytest
 
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.runtime import ExecutionPolicy, OpBackendFallbackWarning
 from repro.sim.engine import SimEngine, standard_resources
 from repro.sim.opbatch import ROW_FIELDS, OpBatch
 from repro.sim.ops import OpKind, SimOp, reset_op_counter
 from repro.training.config import TrainingJobConfig
-from repro.training.simulation import reset_fallback_warnings, simulate_job
+from repro.training.simulation import (
+    SimulationResult,
+    _initial_gpu_bytes,
+    build_iteration,
+    simulate_job,
+)
 
 RESOURCES = ("cpu", "gpu", "link", "pcie.h2d", "pcie.d2h")
 
@@ -165,13 +166,25 @@ JOB_VARIANTS = [
 ]
 
 
+def _eager_simulation(job, iterations):
+    """The eager builders on the heap engine: the oracle ``simulate_job`` must match."""
+    engine = SimEngine()
+    standard_resources(engine)
+    records = []
+    start_deps: tuple[int, ...] = ()
+    for index in range(iterations):
+        record = build_iteration(engine, job, index, start_deps)
+        records.append(record)
+        start_deps = tuple(record.update.params_ready_ops)
+    return SimulationResult(job=job, schedule=engine.run(), iterations=records,
+                            initial_gpu_bytes=_initial_gpu_bytes(job))
+
+
 def _assert_simulations_identical(job, iterations):
     reset_op_counter()
-    eager = simulate_job(job, iterations=iterations,
-                         policy=ExecutionPolicy(op_backend="objects", scheduler="heap"))
+    eager = _eager_simulation(job, iterations)
     reset_op_counter()
-    batched = simulate_job(job, iterations=iterations,
-                           policy=ExecutionPolicy(op_backend="batch", scheduler="heap"))
+    batched = simulate_job(job, iterations=iterations)
 
     assert _schedule_tuples(batched.schedule) == _schedule_tuples(eager.schedule)
     batched.schedule.validate()
@@ -213,18 +226,9 @@ def test_simulate_job_backends_identical_at_10k_subgroups():
     _assert_simulations_identical(job, iterations=1)
 
 
-def test_strategies_without_row_builders_fall_back_to_eager():
-    """A strategy that never implemented the row twins still simulates correctly."""
+def test_strategies_without_row_builders_are_rejected():
+    """Simulation needs the row builders; a strategy without them fails loudly."""
     job = TrainingJobConfig(model="7B", strategy="zero3-offload", check_memory=False).resolve()
     job.strategy.supports_op_batch = lambda: False  # simulate a third-party strategy
-    reset_fallback_warnings()
-    with pytest.warns(OpBackendFallbackWarning):
-        result = simulate_job(job, 1, policy=ExecutionPolicy(op_backend="batch"))
-    assert result.schedule.ops  # eager fallback produced a real schedule
-    assert result.resolved_policy.op_backend == "objects"
-    assert result.resolved_policy.op_backend_fallback
-    # Warned once per strategy: a second simulation stays silent.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", OpBackendFallbackWarning)
-        simulate_job(job, 1, policy=ExecutionPolicy(op_backend="batch"))
-    reset_fallback_warnings()
+    with pytest.raises(ConfigurationError, match="row builders"):
+        simulate_job(job, 1)

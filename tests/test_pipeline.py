@@ -8,17 +8,19 @@ The contract under test (``docs/pipeline.md``):
   random grids);
 * lowering produces op rows the ordinary engine schedules without ever
   double-booking a stage resource (``Schedule.validate``), byte-identically
-  across the heap and vector backends and the objects/batch admission paths;
+  on the vector kernel and on the heap oracle fed through either admission
+  path (eager objects or batched rows);
 * the zero-bubble pass never loses to 1F1B on the same grid, and on the
   paper-preset acceptance grid (4 stages, 4..32 microbatches) it wins
   *strictly* at every point;
 * the family is a first-class scenario axis: registry discovery, policy
   fields (``scenario_family``, ``pipeline_schedule``), CLI subcommand and the
   sweep worker all agree, and sweep results are byte-identical across
-  serial/pool executors and heap/vector schedulers.
+  serial/pool executors and to the heap oracle.
 """
 
 import json
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,7 @@ from repro.pipeline import (
     validate_schedule,
 )
 from repro.runtime import ExecutionPolicy, configure
+from repro.sim.engine import SimEngine, VectorSchedule
 
 FAMILIES = ("gpipe", "1f1b", "zb")
 
@@ -184,7 +187,7 @@ def test_lowered_schedules_never_double_book_resources(grid, family, timing):
     stages, microbatches = grid
     result = simulate_pipeline(
         schedule=family, stages=stages, microbatches=microbatches,
-        timing=timing, policy=ExecutionPolicy(scheduler="heap"),
+        timing=timing,
     )
     result.sim_schedule.validate()
     assert len(result.sim_schedule.ops) == result.op_count
@@ -197,13 +200,10 @@ def test_lowered_schedules_never_double_book_resources(grid, family, timing):
 def test_zero_bubble_never_loses_to_1f1b(grid, timing):
     """zb makespan <= 1f1b makespan on the same grid, for any light-link timing."""
     stages, microbatches = grid
-    policy = ExecutionPolicy(scheduler="heap")
     zb = simulate_pipeline(schedule="zb", stages=stages,
-                           microbatches=microbatches, timing=timing,
-                           policy=policy)
+                           microbatches=microbatches, timing=timing)
     baseline = simulate_pipeline(schedule="1f1b", stages=stages,
-                                 microbatches=microbatches, timing=timing,
-                                 policy=policy)
+                                 microbatches=microbatches, timing=timing)
     assert zb.makespan_seconds <= baseline.makespan_seconds + 1e-9
     assert zb.bubble_fraction <= baseline.bubble_fraction + 1e-9
 
@@ -264,33 +264,54 @@ def test_lowering_emits_expected_rows_and_deps():
 # ------------------------------------------- backend / executor byte-identity
 
 
+def _heap_batch(engine, batch=None, *, validate=False):
+    return engine.run_batch(batch, validate=validate)
+
+
+def _heap_objects(engine, batch=None, *, validate=False):
+    batch.submit_to(engine)
+    return engine.run()
+
+
+@contextmanager
+def _kernel_replaced_by(oracle):
+    """Route ``simulate_pipeline``'s vector-kernel call to a heap oracle:
+    ``_heap_batch`` (batched rows) or ``_heap_objects`` (eager ``SimOp``
+    admission), so its metrics derive from the oracle's schedule."""
+    original = SimEngine.run_vector
+    SimEngine.run_vector = oracle
+    try:
+        yield
+    finally:
+        SimEngine.run_vector = original
+
+
+def _payload(**kwargs) -> str:
+    return json.dumps(simulate_pipeline(**kwargs).to_dict(), sort_keys=True)
+
+
 def test_simulate_pipeline_heap_and_vector_serialize_identically():
     for family in FAMILIES:
-        payloads = {
-            scheduler: json.dumps(
-                simulate_pipeline(
-                    schedule=family, stages=4, microbatches=8,
-                    policy=ExecutionPolicy(scheduler=scheduler),
-                ).to_dict(),
-                sort_keys=True,
-            )
-            for scheduler in ("heap", "vector")
-        }
-        assert payloads["heap"] == payloads["vector"]
+        vector = _payload(schedule=family, stages=4, microbatches=8)
+        with _kernel_replaced_by(_heap_batch):
+            heap = _payload(schedule=family, stages=4, microbatches=8)
+        assert heap == vector
+
+
+def test_simulate_pipeline_runs_on_the_vector_kernel():
+    result = simulate_pipeline(schedule="zb", stages=3, microbatches=4)
+    assert result.resolved.scheduler == "vector"
+    assert isinstance(result.sim_schedule, VectorSchedule)
+    assert result.resolved.op_count == result.op_count
 
 
 def test_objects_and_batch_admission_paths_agree():
-    results = {
-        backend: simulate_pipeline(
-            schedule="zb", stages=3, microbatches=4,
-            policy=ExecutionPolicy(scheduler="heap", op_backend=backend),
-        )
-        for backend in ("batch", "objects")
-    }
-    assert results["batch"].resolved.op_backend == "batch"
-    assert results["objects"].resolved.op_backend == "objects"
-    assert (json.dumps(results["batch"].to_dict(), sort_keys=True)
-            == json.dumps(results["objects"].to_dict(), sort_keys=True))
+    payloads = {}
+    for label, oracle in (("batch", _heap_batch), ("objects", _heap_objects)):
+        with _kernel_replaced_by(oracle):
+            payloads[label] = _payload(schedule="zb", stages=3, microbatches=4)
+    assert payloads["batch"] == payloads["objects"]
+    assert payloads["batch"] == _payload(schedule="zb", stages=3, microbatches=4)
 
 
 def _sweep_payload(policy: ExecutionPolicy) -> str:
@@ -304,21 +325,16 @@ def _sweep_payload(policy: ExecutionPolicy) -> str:
 
 
 def test_acceptance_sweep_is_byte_identical_across_executors_and_schedulers():
-    """The ISSUE acceptance criterion: schedule x microbatch grid, identical
-    bytes under serial/pool executors and heap/vector schedulers, with zb
-    strictly under 1f1b at every grid point."""
-    reference = None
+    """The acceptance grid (schedule x microbatch): identical bytes under
+    serial/pool executors and on the heap oracle, with zb strictly under
+    1f1b at every grid point."""
+    with _kernel_replaced_by(_heap_batch):
+        reference = _sweep_payload(ExecutionPolicy(executor="serial", use_cache=False))
     for executor, jobs in (("serial", 1), ("pool", 2)):
-        for scheduler in ("heap", "vector"):
-            policy = ExecutionPolicy(executor=executor, jobs=jobs,
-                                     scheduler=scheduler, use_cache=False)
-            payload = _sweep_payload(policy)
-            if reference is None:
-                reference = payload
-            else:
-                assert payload == reference, (
-                    f"{executor}/{scheduler} diverged from the reference bytes"
-                )
+        policy = ExecutionPolicy(executor=executor, jobs=jobs, use_cache=False)
+        assert _sweep_payload(policy) == reference, (
+            f"{executor} diverged from the heap reference bytes"
+        )
     grid = {tuple(key): value for key, value in json.loads(reference)}
     for microbatches in ACCEPTANCE_MICROBATCHES:
         zb = grid[("zb", microbatches)]

@@ -4,10 +4,11 @@ The contract under test (``docs/runtime.md``): every execution knob resolves
 through **explicit argument > active ``repro.configure`` context > ``REPRO_*``
 environment > default**, in exactly one place
 (:meth:`repro.runtime.ExecutionPolicy.resolve`), for every field.  On top of
-that order sit the consumers: ``simulate_job`` (including ``scheduler="auto"``
-threshold selection and the op-batch fallback record), ``Trainer``,
-``SweepRunner`` (explicit worker-side serialization) and the CLI (global
-flags, the ``repro config`` subcommand).
+that order sit the consumers: ``simulate_job`` (and the record of what it
+ran), ``Trainer``, ``SweepRunner`` (explicit worker-side serialization) and the
+CLI (global flags, the ``repro config`` subcommand).  The path knobs removed
+from the policy (``op_backend``, ``scheduler``, ``auto_vector_threshold``,
+``sweep_mode``) stay rejected everywhere.
 """
 
 import json
@@ -17,15 +18,8 @@ import pytest
 
 from repro.cli import main
 from repro.common.errors import ConfigurationError
-from repro.runtime import (
-    DEFAULT_AUTO_VECTOR_THRESHOLD,
-    POLICY_FIELDS,
-    ExecutionPolicy,
-    configure,
-    policy_context,
-)
+from repro.runtime import POLICY_FIELDS, ExecutionPolicy, configure, policy_context
 from repro.sim.engine import VectorSchedule
-from repro.sim.ops import reset_op_counter
 from repro.sweep import SweepRunner, SweepSpec
 from repro.training.config import TrainingJobConfig
 from repro.training.simulation import simulate_job
@@ -53,9 +47,6 @@ def job():
 # Context values deliberately differ from the env values (and arg from context)
 # so each assertion can only pass if the documented level won.
 FIELD_CASES = [
-    ("op_backend", "objects", "objects", "batch", "objects"),
-    ("scheduler", "vector", "vector", "heap", "vector"),
-    ("auto_vector_threshold", "123", 123, 456, 789),
     ("jobs", "3", 3, 2, 4),
     ("executor", "cluster", "cluster", "pool", "serial"),
     ("workers", "3", 3, 2, 4),
@@ -72,9 +63,6 @@ FIELD_CASES = [
 ]
 
 DEFAULTS = {
-    "op_backend": "batch",
-    "scheduler": "auto",
-    "auto_vector_threshold": DEFAULT_AUTO_VECTOR_THRESHOLD,
     "jobs": 1,
     "executor": "auto",
     "workers": 1,
@@ -114,29 +102,29 @@ def test_field_resolves_arg_over_context_over_env_over_default(
 
 
 def test_contexts_nest_with_inner_wins_and_fields_merge():
-    with configure(scheduler="vector", jobs=3):
-        with configure(scheduler="heap"):
+    with configure(pipeline_schedule="zb", jobs=3):
+        with configure(pipeline_schedule="gpipe"):
             inner = ExecutionPolicy.resolve()
-            assert inner.scheduler == "heap"
+            assert inner.pipeline_schedule == "gpipe"
             assert inner.jobs == 3  # outer field shows through
         outer = ExecutionPolicy.resolve()
-        assert outer.scheduler == "vector"
-    assert ExecutionPolicy.resolve().scheduler == "auto"
+        assert outer.pipeline_schedule == "zb"
+    assert ExecutionPolicy.resolve().pipeline_schedule == "1f1b"
 
 
 def test_context_value_beats_env_even_when_equal_to_default(monkeypatch):
     # A context explicitly pinning the default value must still outvote env.
-    monkeypatch.setenv("REPRO_SIM_OP_BACKEND", "objects")
-    with configure(op_backend="batch"):
+    monkeypatch.setenv("REPRO_PIPELINE_SCHEDULE", "zb")
+    with configure(pipeline_schedule="1f1b"):
         resolved = ExecutionPolicy.resolve()
-    assert resolved.op_backend == "batch"
-    assert resolved.sources["op_backend"] == "context"
+    assert resolved.pipeline_schedule == "1f1b"
+    assert resolved.sources["pipeline_schedule"] == "context"
 
 
 def test_explicit_argument_shields_a_broken_env_value(monkeypatch):
     # Only the winning level is validated: garbage below it cannot raise.
-    monkeypatch.setenv("REPRO_SIM_SCHEDULER", "quantum")
-    assert ExecutionPolicy.resolve(scheduler="heap").scheduler == "heap"
+    monkeypatch.setenv("REPRO_PIPELINE_SCHEDULE", "quantum")
+    assert ExecutionPolicy.resolve(pipeline_schedule="zb").pipeline_schedule == "zb"
     with pytest.raises(ConfigurationError, match="quantum"):
         ExecutionPolicy.resolve()
 
@@ -152,10 +140,10 @@ def test_falsey_env_booleans_parse(monkeypatch):
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"op_backend": "rows"},
-    {"scheduler": "warp"},
-    {"auto_vector_threshold": -1},
-    {"auto_vector_threshold": "lots"},
+    {"executor": 3},
+    {"jobs": "2"},
+    {"pipeline_schedule": 5},
+    {"middleware": ("retry:attempts=lots",)},
     {"jobs": 0},
     {"jobs": 2.5},
     {"executor": "mainframe"},
@@ -182,7 +170,7 @@ def test_bad_values_raise_at_construction_and_resolution(kwargs):
 @pytest.mark.parametrize("env_var,text", [
     ("REPRO_SWEEP_JOBS", "many"),
     ("REPRO_SWEEP_USE_CACHE", "maybe"),
-    ("REPRO_AUTO_VECTOR_THRESHOLD", "1e6"),
+    ("REPRO_WORKERS", "several"),
     ("REPRO_MIDDLEWARE", "warp"),
     ("REPRO_MIDDLEWARE", "retry:attempts=lots"),
     ("REPRO_SCENARIO_FAMILY", "tensor"),
@@ -210,33 +198,59 @@ def test_unknown_fields_are_rejected_everywhere():
         ExecutionPolicy.resolve(warp_speed=9)
 
 
+REMOVED_FIELDS = {
+    "op_backend": ("objects", "REPRO_SIM_OP_BACKEND"),
+    "scheduler": ("vector", "REPRO_SIM_SCHEDULER"),
+    "auto_vector_threshold": (1, "REPRO_AUTO_VECTOR_THRESHOLD"),
+    "sweep_mode": ("scenario", "REPRO_SWEEP_MODE"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REMOVED_FIELDS))
+def test_removed_path_fields_are_rejected(monkeypatch, capsys, name):
+    """The path knobs are gone: the code picks the path, not the policy."""
+    value, env_var = REMOVED_FIELDS[name]
+    assert name not in POLICY_FIELDS
+    with pytest.raises(ConfigurationError, match=name):
+        ExecutionPolicy.resolve(**{name: value})
+    with pytest.raises(ConfigurationError, match=name):
+        configure(**{name: value})
+    with pytest.raises(ConfigurationError, match=name):
+        ExecutionPolicy.resolve().with_overrides(**{name: value})
+    # Their environment variables are no longer read, even with garbage in them.
+    monkeypatch.setenv(env_var, "garbage")
+    assert ExecutionPolicy.resolve() == ExecutionPolicy()
+    assert main(["config", "--json"]) == 0
+    assert name not in json.loads(capsys.readouterr().out)
+
+
 def test_policies_compare_by_value_not_by_source(monkeypatch):
     assert ExecutionPolicy.resolve() == ExecutionPolicy()
-    monkeypatch.setenv("REPRO_SIM_SCHEDULER", "vector")
-    assert ExecutionPolicy.resolve() == ExecutionPolicy(scheduler="vector")
+    monkeypatch.setenv("REPRO_PIPELINE_SCHEDULE", "zb")
+    assert ExecutionPolicy.resolve() == ExecutionPolicy(pipeline_schedule="zb")
 
 
 def test_with_overrides_replaces_fields_as_arg_sources():
     base = ExecutionPolicy.resolve()
-    derived = base.with_overrides(scheduler="vector")
-    assert derived.scheduler == "vector"
-    assert derived.sources["scheduler"] == "arg"
+    derived = base.with_overrides(pipeline_schedule="zb")
+    assert derived.pipeline_schedule == "zb"
+    assert derived.sources["pipeline_schedule"] == "arg"
     assert derived.jobs == base.jobs
     with pytest.raises(ConfigurationError):
-        base.with_overrides(scheduler="warp")
+        base.with_overrides(pipeline_schedule="warp")
 
 
 def test_describe_is_json_ready():
     described = ExecutionPolicy.resolve().describe()
     assert set(described) == set(POLICY_FIELDS)
     payload = json.loads(json.dumps(described))
-    assert payload["scheduler"] == {"value": "auto", "source": "default"}
+    assert payload["executor"] == {"value": "auto", "source": "default"}
     assert isinstance(payload["cache_dir"]["value"], str)
 
 
 def test_directly_constructed_policy_infers_honest_sources():
-    described = ExecutionPolicy(scheduler="vector").describe()
-    assert described["scheduler"]["source"] == "arg"
+    described = ExecutionPolicy(pipeline_schedule="zb").describe()
+    assert described["pipeline_schedule"]["source"] == "arg"
     assert described["jobs"]["source"] == "default"  # never passed, not an arg
 
 
@@ -312,36 +326,29 @@ def test_timing_middleware_metrics_math(monkeypatch):
 # ----------------------------------------------------- simulate_job consumers
 
 
-def test_simulate_job_auto_picks_heap_below_threshold(job):
+def test_simulate_job_schedules_on_the_vector_kernel(job):
+    # Small and large scenarios alike: there is no threshold left to cross.
     result = simulate_job(job, 1)
-    resolved = result.resolved_policy
-    assert resolved.policy.scheduler == "auto"
-    assert resolved.op_count < resolved.policy.auto_vector_threshold
-    assert resolved.scheduler == "heap"
-    assert not isinstance(result.schedule, VectorSchedule)
-
-
-def test_simulate_job_auto_picks_vector_above_threshold(job):
-    with configure(auto_vector_threshold=1):
-        result = simulate_job(job, 1)
-    resolved = result.resolved_policy
-    assert resolved.scheduler == "vector"
-    assert resolved.op_count >= 1
+    assert result.resolved_policy.scheduler == "vector"
     assert isinstance(result.schedule, VectorSchedule)
 
 
 def test_simulate_job_records_what_actually_ran(job):
-    result = simulate_job(job, 1, policy=ExecutionPolicy(scheduler="vector"))
+    policy = ExecutionPolicy(middleware=("timing",))
+    result = simulate_job(job, 1, policy=policy)
     resolved = result.resolved_policy
+    assert resolved.policy == policy
     assert resolved.scheduler == "vector"
-    assert resolved.op_backend == "batch"
-    assert not resolved.op_backend_fallback
     assert resolved.op_count == len(result.schedule.ops)
 
 
 def test_simulate_job_rejects_policy_plus_legacy_kwargs(job):
-    with pytest.warns(DeprecationWarning), pytest.raises(ConfigurationError):
-        simulate_job(job, 1, policy=ExecutionPolicy(), op_backend="batch")
+    # The op_backend=/scheduler_backend= shims are gone, with or without policy=.
+    for legacy in ({"op_backend": "batch"}, {"scheduler_backend": "vector"}):
+        with pytest.raises(TypeError):
+            simulate_job(job, 1, policy=ExecutionPolicy(), **legacy)
+        with pytest.raises(TypeError):
+            simulate_job(job, 1, **legacy)
 
 
 def test_simulate_job_rejects_non_policy(job):
@@ -349,22 +356,12 @@ def test_simulate_job_rejects_non_policy(job):
         simulate_job(job, 1, policy="heap")
 
 
-def test_legacy_kwargs_warn_and_match_policy_path(job):
-    reset_op_counter()
-    with pytest.warns(DeprecationWarning, match="scheduler_backend"):
-        legacy = simulate_job(job, 1, scheduler_backend="vector")
-    reset_op_counter()
-    modern = simulate_job(job, 1, policy=ExecutionPolicy(scheduler="vector"))
-    assert [(i.op.op_id, i.start, i.end) for i in legacy.schedule.ops] == \
-           [(i.op.op_id, i.start, i.end) for i in modern.schedule.ops]
-
-
 def test_trainer_accepts_a_policy():
     config = TrainingJobConfig(model="7B", strategy="deep-optimizer-states",
                                iterations=2, warmup_iterations=1, check_memory=False)
-    pinned = Trainer(config, policy=ExecutionPolicy(scheduler="vector")).run()
+    pinned = Trainer(config, policy=ExecutionPolicy(middleware=("timing",))).run()
     ambient = Trainer(config).run()
-    # Backends are schedule-identical, so the reports agree exactly.
+    # Observe-only middleware never changes a schedule, so the reports agree.
     assert pinned.breakdowns == ambient.breakdowns
     assert pinned.end_to_end_seconds == ambient.end_to_end_seconds
 
@@ -376,17 +373,16 @@ def _policy_probe(**params):
     """Module-level worker reporting the policy its resolution context yields."""
     resolved = ExecutionPolicy.resolve()
     return {
-        "scheduler": resolved.scheduler,
-        "op_backend": resolved.op_backend,
-        "auto_vector_threshold": resolved.auto_vector_threshold,
+        "pipeline_schedule": resolved.pipeline_schedule,
+        "workers": resolved.workers,
         "sources": dict(resolved.sources),
     }
 
 
 def test_runner_binds_policy_at_construction():
-    policy = ExecutionPolicy(jobs=2, scheduler="vector", use_cache=False)
+    policy = ExecutionPolicy(jobs=2, executor="serial", use_cache=False)
     runner = SweepRunner(_policy_probe, policy=policy)
-    assert (runner.jobs, runner.scheduler, runner.use_cache) == (2, "vector", False)
+    assert (runner.jobs, runner.executor, runner.use_cache) == (2, "serial", False)
     assert runner.policy is policy
 
 
@@ -398,34 +394,34 @@ def test_runner_rejects_policy_plus_individual_kwargs():
 
 
 def test_runner_resolves_construction_context_not_run_context():
-    with configure(scheduler="vector"):
+    with configure(pipeline_schedule="zb"):
         runner = SweepRunner(_policy_probe)
     # The policy was bound under the construction context; running outside it
     # still ships the bound decisions to the workers.
     result = runner.run(SweepSpec.build({"x": (1,)}))
-    assert result.records[0].value["scheduler"] == "vector"
+    assert result.records[0].value["pipeline_schedule"] == "zb"
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_workers_resolve_the_serialized_policy_at_context_level(monkeypatch, jobs, tmp_path):
     # Worker-side env (inherited by fork or present in-process) must lose to
     # the explicitly serialized policy: context > env.
-    monkeypatch.setenv("REPRO_SIM_SCHEDULER", "heap")
-    monkeypatch.setenv("REPRO_AUTO_VECTOR_THRESHOLD", "7")
-    runner = SweepRunner(_policy_probe, jobs=jobs, scheduler="vector",
-                         cache_dir=tmp_path)
+    monkeypatch.setenv("REPRO_PIPELINE_SCHEDULE", "gpipe")
+    monkeypatch.setenv("REPRO_WORKERS", "7")
+    with configure(pipeline_schedule="zb"):
+        runner = SweepRunner(_policy_probe, jobs=jobs, cache_dir=tmp_path)
     values = [record.value for record in runner.run(SweepSpec.build({"x": (1, 2)})).records]
     for value in values:
-        assert value["scheduler"] == "vector"
-        # Un-overridden fields were resolved at the parent (threshold 7 from its
+        assert value["pipeline_schedule"] == "zb"
+        # Un-overridden fields were resolved at the parent (workers=7 from its
         # env) and shipped whole: the worker sees them at the *context* level.
-        assert value["auto_vector_threshold"] == 7
+        assert value["workers"] == 7
         assert set(value["sources"].values()) == {"context"}
 
 
 def test_policy_context_requires_a_policy():
     with pytest.raises(ConfigurationError):
-        policy_context({"scheduler": "vector"})
+        policy_context({"jobs": 2})
 
 
 # ------------------------------------------------------------------------ CLI
@@ -440,19 +436,17 @@ def test_cli_config_prints_fields_and_sources(capsys):
 
 
 def test_cli_config_json_marks_global_flags_as_args(capsys):
-    assert main(["--scheduler", "vector", "--op-backend", "objects",
-                 "config", "--json"]) == 0
+    assert main(["--middleware", "noop", "config", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["scheduler"] == {"value": "vector", "source": "arg"}
-    assert payload["op_backend"] == {"value": "objects", "source": "arg"}
+    assert payload["middleware"] == {"value": ["noop"], "source": "arg"}
     assert payload["jobs"]["source"] == "default"
 
 
 def test_cli_config_reports_env_sources(monkeypatch, capsys):
-    monkeypatch.setenv("REPRO_SIM_SCHEDULER", "vector")
+    monkeypatch.setenv("REPRO_PIPELINE_SCHEDULE", "zb")
     assert main(["config", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["scheduler"] == {"value": "vector", "source": "env"}
+    assert payload["pipeline_schedule"] == {"value": "zb", "source": "env"}
 
 
 def test_cli_config_reports_trace_fields_with_sources(monkeypatch, capsys):
@@ -486,8 +480,8 @@ def test_cli_trace_out_implies_trace(capsys):
 
 
 def test_cli_global_flags_do_not_outlive_the_command(capsys):
-    assert main(["--scheduler", "vector", "list-presets"]) == 0
-    assert ExecutionPolicy.resolve().scheduler == "auto"
+    assert main(["--middleware", "noop", "list-presets"]) == 0
+    assert ExecutionPolicy.resolve().middleware == ()
 
 
 # ------------------------------------------- unrelated broken env isolation
@@ -504,7 +498,7 @@ def test_simulate_job_ignores_broken_sweep_env_vars(monkeypatch, job):
 
 
 def test_simulate_job_still_rejects_broken_simulation_env(monkeypatch, job):
-    monkeypatch.setenv("REPRO_SIM_SCHEDULER", "quantum")
+    monkeypatch.setenv("REPRO_MIDDLEWARE", "quantum")
     with pytest.raises(ConfigurationError, match="quantum"):
         simulate_job(job, 1)
 
@@ -512,8 +506,8 @@ def test_simulate_job_still_rejects_broken_simulation_env(monkeypatch, job):
 def test_env_fields_restriction_still_honours_context_and_args(monkeypatch):
     monkeypatch.setenv("REPRO_SWEEP_JOBS", "garbage")
     with configure(jobs=5):
-        assert ExecutionPolicy.resolve(env_fields=("scheduler",)).jobs == 5
-    assert ExecutionPolicy.resolve(env_fields=("scheduler",), jobs=7).jobs == 7
+        assert ExecutionPolicy.resolve(env_fields=("trace",)).jobs == 5
+    assert ExecutionPolicy.resolve(env_fields=("trace",), jobs=7).jobs == 7
 
 
 def test_cli_help_survives_broken_env(monkeypatch, capsys):
@@ -531,9 +525,9 @@ def test_cli_config_reports_broken_env_as_error_rows(monkeypatch, capsys):
     assert main(["config"]) == 1
     out = capsys.readouterr().out
     assert "<error:" in out and "garbage" in out
-    assert "scheduler" in out  # healthy fields still report
+    assert "pipeline_schedule" in out  # healthy fields still report
 
     assert main(["config", "--json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["jobs"]["source"] == "error" and "garbage" in payload["jobs"]["error"]
-    assert payload["scheduler"] == {"value": "auto", "source": "default"}
+    assert payload["pipeline_schedule"] == {"value": "1f1b", "source": "default"}

@@ -1,20 +1,16 @@
-"""Scheduler-backend selection and the vector admission path.
+"""The vector admission path and the removal of the scheduler knob.
 
 Covers the plumbing around :mod:`repro.sim.veckernel` (the kernel's
 byte-identical-schedule guarantee itself lives in the three-way differential
 harness, ``tests/test_engine_equivalence.py``):
 
-* scheduler validation: unknown ``ExecutionPolicy(scheduler=...)`` values and
-  ``$REPRO_SIM_SCHEDULER`` values raise a :class:`ConfigurationError` naming
-  the bad value — mirroring the existing ``op_backend`` validation;
-* argument/environment selection parity for the ``vector`` backend;
+* the scheduler is no longer a policy field, runner keyword or CLI flag — every
+  such spelling is rejected;
+* the vector kernel fed by the eager ``SimOp`` builders matches the heap oracle;
 * the :class:`~repro.sim.engine.VectorSchedule` surface: lazy materialisation,
   array-backed ``makespan``, inherited queries, validation;
-* :class:`~repro.sweep.runner.SweepRunner` scheduler plumbing: validation and
-  the explicit policy serialization workers resolve against (no environment
-  variables are exported — ``tests/test_runtime_policy.py`` covers the full
-  precedence matrix);
-* the ``--scheduler`` CLI flag.
+* sweeps, serial and pooled, simulate on the vector kernel and still ship the
+  resolved policy to their workers.
 """
 
 import os
@@ -29,7 +25,7 @@ from repro.sim.opbatch import OpBatch
 from repro.sim.ops import OpKind, SimOp, reset_op_counter
 from repro.sweep import SweepRunner, SweepSpec, configure_defaults, reset_defaults
 from repro.training.config import TrainingJobConfig
-from repro.training.simulation import SCHEDULER_BACKENDS, simulate_job
+from repro.training.simulation import build_iteration
 
 
 @pytest.fixture(scope="module")
@@ -46,60 +42,28 @@ def _schedule_tuples(schedule):
 
 
 def test_policy_rejects_unknown_scheduler_backend():
-    with pytest.raises(ConfigurationError, match="warp-drive"):
-        ExecutionPolicy(scheduler="warp-drive")
+    with pytest.raises(ConfigurationError, match="scheduler"):
+        ExecutionPolicy.resolve(scheduler="warp-drive")
+    with pytest.raises(TypeError):
+        ExecutionPolicy(scheduler="vector")
 
 
-def test_simulate_job_rejects_unknown_scheduler_env_value(job, monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_SCHEDULER", "quantum")
-    with pytest.raises(ConfigurationError, match="quantum"):
-        simulate_job(job, 1)
-
-
-def test_scheduler_error_lists_valid_backends():
-    with pytest.raises(ConfigurationError, match="'heap'.*'vector'"):
-        ExecutionPolicy(scheduler="nope")
-
-
-def test_scheduler_argument_overrides_env(job, monkeypatch):
-    # A bad env value must not break an explicit, valid argument.
-    monkeypatch.setenv("REPRO_SIM_SCHEDULER", "quantum")
-    result = simulate_job(job, 1, policy=ExecutionPolicy.resolve(scheduler="heap"))
-    assert result.schedule.makespan > 0
-
-
-def test_scheduler_backends_constant_matches_validation(job):
-    for name in SCHEDULER_BACKENDS:
-        policy = ExecutionPolicy(scheduler=name)
-        assert simulate_job(job, 1, policy=policy).schedule.makespan > 0
-
-
-# ------------------------------------------------------------ selection parity
-
-
-def test_vector_via_env_equals_vector_via_argument(job, monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_SCHEDULER", "vector")
-    reset_op_counter()
-    via_env = simulate_job(job, 1)
-    monkeypatch.delenv("REPRO_SIM_SCHEDULER")
-    reset_op_counter()
-    via_arg = simulate_job(job, 1, policy=ExecutionPolicy(scheduler="vector"))
-    reset_op_counter()
-    via_heap = simulate_job(job, 1, policy=ExecutionPolicy(scheduler="heap"))
-    assert _schedule_tuples(via_env.schedule) == _schedule_tuples(via_arg.schedule)
-    assert _schedule_tuples(via_arg.schedule) == _schedule_tuples(via_heap.schedule)
+# ---------------------------------------------------- eager admission parity
 
 
 def test_vector_scheduler_with_objects_op_backend(job):
-    reset_op_counter()
-    heap = simulate_job(
-        job, 2, policy=ExecutionPolicy(op_backend="objects", scheduler="heap")
-    )
-    reset_op_counter()
-    vector = simulate_job(
-        job, 2, policy=ExecutionPolicy(op_backend="objects", scheduler="vector")
-    )
-    assert _schedule_tuples(heap.schedule) == _schedule_tuples(vector.schedule)
+    """Eager ``SimOp`` submissions schedule identically on the kernel and the heap."""
+    engines = []
+    for _ in range(2):
+        reset_op_counter()
+        engine = SimEngine()
+        standard_resources(engine)
+        record = build_iteration(engine, job, 0)
+        build_iteration(engine, job, 1, tuple(record.update.params_ready_ops))
+        engines.append(engine)
+    heap, vector = engines[0].run(), engines[1].run_vector()
+    assert isinstance(vector, VectorSchedule)
+    assert _schedule_tuples(heap) == _schedule_tuples(vector)
 
 
 # ----------------------------------------------------------- VectorSchedule
@@ -191,67 +155,66 @@ def test_run_vector_rejects_unknown_resource():
 # ---------------------------------------------------------------- SweepRunner
 
 
-def _spy_resolved_scheduler(**params):
-    """Module-level worker reporting the scheduler its resolution context yields."""
-    return ExecutionPolicy.resolve().scheduler
+def _spy_resolved_pipeline_schedule(**params):
+    """Module-level worker reporting the pipeline schedule its context yields."""
+    return ExecutionPolicy.resolve().pipeline_schedule
+
+
+def _spy_simulated_kernel(**params):
+    """Module-level worker reporting the kernel ``simulate_job`` ran on."""
+    from repro.training.simulation import simulate_job
+
+    job = TrainingJobConfig(model="7B", strategy="deep-optimizer-states",
+                            check_memory=False).resolve()
+    return simulate_job(job, 1).resolved_policy.scheduler
 
 
 def test_sweep_runner_rejects_unknown_scheduler():
-    with pytest.raises(ConfigurationError, match="warp"):
-        SweepRunner(_spy_resolved_scheduler, scheduler="warp")
+    with pytest.raises(TypeError, match="scheduler"):
+        SweepRunner(_spy_resolved_pipeline_schedule, scheduler="warp")
+
+
+@pytest.mark.parametrize("shorthand,knob", [
+    ("run_sweep", "sweep_mode"), ("training_sweep", "scheduler"),
+    ("pipeline_sweep", "scheduler"),
+])
+def test_sweep_shorthands_reject_the_removed_knobs(shorthand, knob):
+    from repro.experiments.base import training_sweep
+    from repro.pipeline import pipeline_sweep
+    from repro.sweep import run_sweep
+
+    calls = {
+        "run_sweep": lambda **kw: run_sweep(_spy_resolved_pipeline_schedule, {"x": (1,)}, **kw),
+        "training_sweep": lambda **kw: training_sweep({"strategy": ("zero3-offload",)}, **kw),
+        "pipeline_sweep": lambda **kw: pipeline_sweep({"stages": (2,)}, **kw),
+    }
+    with pytest.raises(TypeError, match=knob):
+        calls[shorthand](**{knob: "vector"})
 
 
 def test_configure_defaults_rejects_unknown_scheduler():
     try:
-        with pytest.raises(ConfigurationError, match="warp"):
+        with pytest.raises(TypeError, match="scheduler"):
             configure_defaults(scheduler="warp")
     finally:
         reset_defaults()
 
 
-def test_sweep_runner_serializes_scheduler_to_serial_workers(monkeypatch):
-    monkeypatch.delenv("REPRO_SIM_SCHEDULER", raising=False)
-    runner = SweepRunner(_spy_resolved_scheduler, scheduler="vector")
-    result = runner.run(SweepSpec.build({"x": (1, 2)}))
-    assert [record.value for record in result.records] == ["vector", "vector"]
-    # Explicit serialization, not env export: the environment is never touched.
-    assert "REPRO_SIM_SCHEDULER" not in os.environ
-
-
 def test_sweep_runner_policy_beats_worker_side_env(monkeypatch):
     # The serialized policy wins over the worker's own environment (context >
     # env in the resolution order) — and the environment itself is untouched.
-    monkeypatch.setenv("REPRO_SIM_SCHEDULER", "heap")
-    runner = SweepRunner(_spy_resolved_scheduler, scheduler="vector")
+    monkeypatch.setenv("REPRO_PIPELINE_SCHEDULE", "gpipe")
+    runner = SweepRunner(_spy_resolved_pipeline_schedule,
+                         policy=ExecutionPolicy(pipeline_schedule="zb"))
     result = runner.run(SweepSpec.build({"x": (1,)}))
-    assert result.records[0].value == "vector"
-    assert os.environ["REPRO_SIM_SCHEDULER"] == "heap"
-
-
-def test_sweep_runner_scheduler_from_defaults(monkeypatch):
-    monkeypatch.delenv("REPRO_SIM_SCHEDULER", raising=False)
-    try:
-        configure_defaults(scheduler="vector")
-        runner = SweepRunner(_spy_resolved_scheduler)
-        assert runner.scheduler == "vector"
-        result = runner.run(SweepSpec.build({"x": (1,)}))
-        assert result.records[0].value == "vector"
-    finally:
-        reset_defaults()
-
-
-def test_sweep_runner_default_scheduler_is_auto(monkeypatch):
-    monkeypatch.delenv("REPRO_SIM_SCHEDULER", raising=False)
-    runner = SweepRunner(_spy_resolved_scheduler)
-    assert runner.scheduler == "auto"
-    result = runner.run(SweepSpec.build({"x": (1,)}))
-    assert result.records[0].value == "auto"
+    assert result.records[0].value == "zb"
+    assert os.environ["REPRO_PIPELINE_SCHEDULE"] == "gpipe"
 
 
 def test_parallel_sweep_runs_on_vector_backend(tmp_path):
-    """Pool workers inherit the scheduler via the pickled policy, not env vars."""
-    runner = SweepRunner(_spy_resolved_scheduler, jobs=2, scheduler="vector",
-                         use_cache=False, cache_dir=tmp_path)
+    """Pool workers simulate on the vector kernel too."""
+    runner = SweepRunner(_spy_simulated_kernel, jobs=2, use_cache=False,
+                         cache_dir=tmp_path)
     result = runner.run(SweepSpec.build({"x": (1, 2)}))
     assert [record.value for record in result.records] == ["vector", "vector"]
 
@@ -259,19 +222,9 @@ def test_parallel_sweep_runs_on_vector_backend(tmp_path):
 # ------------------------------------------------------------------------ CLI
 
 
-@pytest.mark.parametrize("command", [
-    ["sweep", "--scheduler", "vector"],
-    ["compare", "--scheduler", "vector"],
-    ["experiment", "fig7", "--scheduler", "vector"],
-    ["sweep", "--scheduler", "heap"],
-    ["sweep", "--scheduler", "auto"],
-])
-def test_cli_accepts_scheduler_flag(command):
-    args = build_parser().parse_args(command)
-    assert args.scheduler in ("auto", "heap", "vector")
-
-
 def test_cli_rejects_unknown_scheduler_value(capsys):
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["sweep", "--scheduler", "warp"])
-    assert "invalid choice" in capsys.readouterr().err
+    for command in (["sweep", "--scheduler", "vector"], ["--scheduler", "vector", "config"],
+                    ["--op-backend", "objects", "config"], ["sweep", "--sweep-mode", "batch"]):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(command)
+        assert "error:" in capsys.readouterr().err

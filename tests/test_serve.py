@@ -197,6 +197,26 @@ def test_framed_client_round_trips_ping_health_and_errors():
             assert client.request("ping") == {"pong": True}
 
 
+@pytest.mark.parametrize("field,value", [
+    ("op_backend", "objects"), ("scheduler", "heap"),
+    ("auto_vector_threshold", 1), ("sweep_mode", "scenario"),
+])
+def test_removed_path_fields_get_a_4xx_and_the_daemon_keeps_serving(field, value):
+    """A request still naming a removed path knob is malformed, on both fronts."""
+    with ServerThread() as running:
+        with ServeClient(running.address) as client:
+            with pytest.raises(ServeRequestError) as framed:
+                client.request("simulate", {"model": "7B"}, policy={field: value})
+            assert framed.value.status == 400
+            assert field in str(framed.value)
+            assert client.request("ping") == {"pong": True}
+        status, raw = _post(running.address, "/v1/ping",
+                            {"params": {}, "policy": {field: value}})
+        assert status == 400 and field.encode() in raw
+        status, raw = _post(running.address, "/v1/ping", {"params": {}})
+        assert (status, json.loads(raw)) == (200, {"pong": True})
+
+
 def test_framed_sweep_matches_a_local_run_exactly():
     axes = {"x": [1, 2, 3]}
     with ServerThread(policy=ExecutionPolicy.resolve(use_cache=False)) as running:

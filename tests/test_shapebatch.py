@@ -11,10 +11,12 @@ Three layers of guarantees:
   compiled :func:`~repro.sim.shapebatch.compile_plan` must be byte-identical,
   scenario for scenario, to solo runs of both scheduler kernels (vector and
   heap) on random same-shape batches.
-* **sweep layer** — ``SweepRunner(sweep_mode="batch")`` must return scenario
-  values byte-identical (as JSON) to ``sweep_mode="scenario"``, across serial
-  and pool executors, on fig14-style shared-shape grids and fig16-style mixed
-  grids, and its cache entries must be interchangeable with per-scenario runs.
+* **sweep layer** — a grouped sweep (:func:`~repro.sweep.batching.run_scenario_group`
+  behind ``SweepRunner``) must return scenario values byte-identical (as JSON)
+  to calling ``worker(**params)`` once per scenario, across serial and pool
+  executors, on fig14-style shared-shape grids and fig16-style mixed grids, on
+  either side of the stacking threshold, and its cache entries must be
+  interchangeable with per-scenario values.
 """
 
 import json
@@ -35,9 +37,12 @@ from repro.sim.shapebatch import (
     scenario_column,
     schedule_group,
     shape_key,
+    stack_solo,
 )
-from repro.sweep import SweepRunner, SweepSpec
-from repro.sweep.batching import is_batchable, run_scenario_group
+from repro.sweep import Scenario, SweepRunner, SweepSpec
+from repro.sweep import batching
+from repro.sweep.batching import STACK_MIN_SCENARIOS, is_batchable, run_scenario_group
+from repro.sweep.result import SweepRecord, SweepResult
 
 RESOURCES = ("cpu", "gpu", "link", "pcie.h2d", "pcie.d2h")
 
@@ -94,6 +99,15 @@ def _projection(result) -> str:
         ],
         sort_keys=True,
     )
+
+
+def _per_scenario(worker, spec) -> SweepResult:
+    """The reference a grouped sweep must match: ``worker(**params)`` per scenario."""
+    scenarios = spec.scenarios() if isinstance(spec, SweepSpec) else spec
+    records = [SweepRecord(scenario=scenario, value=worker(**scenario.as_dict()),
+                           from_cache=False)
+               for scenario in scenarios]
+    return SweepResult(records=records, cache_hits=0, cache_misses=len(records), jobs=1)
 
 
 def plain_worker(*, x: int = 0) -> int:
@@ -186,6 +200,20 @@ def test_stacked_schedules_match_solo_kernels_bit_for_bit(seed):
         assert stacked_triples == _triples(engine.run_batch(batch))
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_solo_stack_equals_a_one_scenario_stacked_pass(seed):
+    """A group too small to stack reaches the finalizer as ``stack_solo`` of its
+    own kernel run: same columns, ids and schedule as a stacked pass of one."""
+    batch = batch_from(random_topology(random.Random(seed), 60), random.Random(seed))
+    solo = stack_solo(_engine().run_vector(batch))
+    stacked = schedule_group(compile_plan(batch, RESOURCES), [scenario_column(batch)])
+    assert solo.num_scenarios == 1 and solo.first_ids == stacked.first_ids
+    assert solo.plan.rel_ids.tolist() == stacked.plan.rel_ids.tolist()
+    assert solo.starts.tobytes() == stacked.starts.tobytes()
+    assert solo.ends.tobytes() == stacked.ends.tobytes()
+    assert _triples(solo.schedule_for(0)) == _triples(_engine().run_batch(batch))
+
+
 def test_stacked_columns_are_exact_per_scenario():
     topology = random_topology(random.Random(5), 30)
     batches = [batch_from(topology, random.Random(index)) for index in range(4)]
@@ -243,9 +271,8 @@ def _grid(axis_values) -> SweepSpec:
 
 def test_batch_sweep_is_byte_identical_to_scenario_sweep():
     spec = _grid(range(2, 8))
-    scenario = SweepRunner(run_training, use_cache=False, sweep_mode="scenario").run(spec)
-    batch = SweepRunner(run_training, use_cache=False, sweep_mode="batch").run(spec)
-    assert _projection(batch) == _projection(scenario)
+    batch = SweepRunner(run_training, use_cache=False).run(spec)
+    assert _projection(batch) == _projection(_per_scenario(run_training, spec))
 
 
 def test_mixed_strategy_grid_splits_into_groups_and_stays_identical():
@@ -258,30 +285,78 @@ def test_mixed_strategy_grid_splits_into_groups_and_stays_identical():
         },
         {"model": "7B", "iterations": 2},
     )
-    scenario = SweepRunner(run_training, use_cache=False, sweep_mode="scenario").run(spec)
-    batch = SweepRunner(run_training, use_cache=False, sweep_mode="batch").run(spec)
-    assert _projection(batch) == _projection(scenario)
+    batch = SweepRunner(run_training, use_cache=False).run(spec)
+    assert _projection(batch) == _projection(_per_scenario(run_training, spec))
 
 
 def test_pool_batch_sweep_matches_serial(tmp_path):
     spec = _grid(range(2, 6))
-    serial = SweepRunner(run_training, use_cache=False, sweep_mode="batch").run(spec)
-    pool = SweepRunner(
-        run_training, jobs=2, use_cache=False, sweep_mode="batch"
-    ).run(spec)
+    serial = SweepRunner(run_training, use_cache=False).run(spec)
+    pool = SweepRunner(run_training, jobs=2, use_cache=False).run(spec)
     assert _projection(pool) == _projection(serial)
+
+
+@pytest.fixture
+def stacked_groups(monkeypatch):
+    """Sizes of the groups the in-process group runner stacks, in order."""
+    sizes = []
+
+    def counting_schedule_group(plan, columns):
+        sizes.append(len(columns))
+        return schedule_group(plan, columns)
+
+    monkeypatch.setattr(batching, "schedule_group", counting_schedule_group)
+    return sizes
+
+
+@pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "pool"])
+@pytest.mark.parametrize("size", [STACK_MIN_SCENARIOS - 1, STACK_MIN_SCENARIOS],
+                         ids=["below-threshold", "at-threshold"])
+def test_groups_either_side_of_the_stacking_threshold_match_per_scenario(
+    stacked_groups, jobs, size
+):
+    # One shape group of ``size`` scenarios per chunk: serial runs one chunk,
+    # a two-process pool two.  Below the threshold each member is scheduled
+    # alone on the vector kernel; at it, the group takes one stacked pass.
+    spec = _grid(range(2, 2 + size * jobs))
+    result = SweepRunner(run_training, jobs=jobs, use_cache=False).run(spec)
+    assert _projection(result) == _projection(_per_scenario(run_training, spec))
+    if jobs == 1:  # pool children count in their own processes
+        assert stacked_groups == ([size] if size >= STACK_MIN_SCENARIOS else [])
+
+
+def test_one_chunk_mixes_stacked_and_solo_groups(stacked_groups):
+    # Four deep-optimizer-states points stack; two zero3-offload points share
+    # another shape but stay below the threshold and run solo.  An OOM point
+    # is declined in prepare and keeps its position.
+    base = {"model": "20B", "iterations": 2}
+    scenarios = (
+        [{"strategy": "deep-optimizer-states", "cpu_cores_per_gpu": cores}
+         for cores in (2, 3, 4, 5)]
+        + [{"strategy": "zero3-offload", "microbatch_size": 16}]
+        + [{"strategy": "zero3-offload", "cpu_cores_per_gpu": cores} for cores in (2, 3)]
+    )
+    spec = [Scenario.from_params({**base, **params}) for params in scenarios]
+    result = SweepRunner(run_training, use_cache=False).run(spec)
+    assert stacked_groups == [STACK_MIN_SCENARIOS]
+    assert result.records[4].value.oom
+    assert _projection(result) == _projection(_per_scenario(run_training, spec))
 
 
 def test_batch_cache_entries_serve_scenario_runs(tmp_path):
     spec = _grid(range(2, 6))
-    first = SweepRunner(
-        run_training, use_cache=True, cache_dir=tmp_path, sweep_mode="batch"
-    ).run(spec)
+    first = SweepRunner(run_training, use_cache=True, cache_dir=tmp_path).run(spec)
     total = len(list(spec.scenarios()))
     assert first.cache_misses == total
-    second = SweepRunner(
-        run_training, use_cache=True, cache_dir=tmp_path, sweep_mode="scenario"
-    ).run(spec)
+    # Every entry holds exactly what the plain worker returns for its scenario.
+    runner = SweepRunner(run_training, use_cache=True, cache_dir=tmp_path)
+    cached = SweepResult(
+        records=[SweepRecord(scenario=scenario, value=runner._cache_load(scenario),
+                             from_cache=True) for scenario in spec.scenarios()],
+        cache_hits=total, cache_misses=0, jobs=1,
+    )
+    assert _projection(cached) == _projection(_per_scenario(run_training, spec))
+    second = runner.run(spec)
     assert second.cache_hits == total
     assert second.cache_misses == 0
     assert _projection(second) == _projection(first)
@@ -290,32 +365,22 @@ def test_batch_cache_entries_serve_scenario_runs(tmp_path):
 def test_auto_mode_batches_training_and_leaves_plain_workers_alone():
     assert is_batchable(run_training)
     assert not is_batchable(plain_worker)
-    runner = SweepRunner(run_training, use_cache=False)
-    assert runner.sweep_mode == "auto"
-    assert runner._effective_sweep_mode() == "batch"
+    assert SweepRunner(run_training, use_cache=False)._dispatches_groups()
+    assert SweepRunner(run_training, jobs=2, use_cache=False)._dispatches_groups()
+    # The cluster executor keeps one task per scenario.
+    assert not SweepRunner(run_training, executor="cluster")._dispatches_groups()
     plain = SweepRunner(plain_worker, use_cache=False)
-    assert plain._effective_sweep_mode() == "scenario"
+    assert not plain._dispatches_groups()
     result = plain.run(SweepSpec.build({"x": [1, 2, 3]}, None))
     assert [record.value for record in result.records] == [2, 4, 6]
 
 
-def test_explicit_batch_mode_without_adapter_raises():
-    runner = SweepRunner(plain_worker, use_cache=False, sweep_mode="batch")
-    with pytest.raises(ConfigurationError, match="no batching adapter"):
-        runner.run(SweepSpec.build({"x": [1]}, None))
-
-
 def test_sweep_mode_is_validated():
-    with pytest.raises(ConfigurationError, match="unknown sweep mode"):
-        ExecutionPolicy.resolve(sweep_mode="bogus")
-    assert ExecutionPolicy.resolve(sweep_mode="batch").sweep_mode == "batch"
-
-
-def test_sweep_mode_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_SWEEP_MODE", "scenario")
-    runner = SweepRunner(run_training, use_cache=False)
-    assert runner.sweep_mode == "scenario"
-    assert runner._effective_sweep_mode() == "scenario"
+    # The knob is gone: grouping is the code's decision, not the policy's.
+    with pytest.raises(ConfigurationError, match="sweep_mode"):
+        ExecutionPolicy.resolve(sweep_mode="batch")
+    with pytest.raises(TypeError, match="sweep_mode"):
+        SweepRunner(run_training, sweep_mode="batch")
 
 
 def test_group_trampoline_falls_back_without_an_adapter():
@@ -329,9 +394,7 @@ def test_group_trampoline_falls_back_without_an_adapter():
 def test_batch_mode_emits_one_progress_event_per_scenario():
     events = []
     spec = _grid(range(2, 6))
-    SweepRunner(
-        run_training, use_cache=False, sweep_mode="batch", progress=events.append
-    ).run(spec)
+    SweepRunner(run_training, use_cache=False, progress=events.append).run(spec)
     assert [event["completed"] for event in events] == [1, 2, 3, 4]
     assert all(event["total"] == 4 for event in events)
     assert all(not event["cached"] for event in events)
