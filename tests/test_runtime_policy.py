@@ -326,10 +326,20 @@ def test_timing_middleware_metrics_math(monkeypatch):
 # ----------------------------------------------------- simulate_job consumers
 
 
-def test_simulate_job_schedules_on_the_vector_kernel(job):
-    # Small and large scenarios alike: there is no threshold left to cross.
-    result = simulate_job(job, 1)
-    assert result.resolved_policy.scheduler == "vector"
+# The op count at which the removed ``scheduler="auto"`` used to switch from
+# the heap to the vector kernel; scenarios on both sides of it now take one path.
+FORMER_AUTO_VECTOR_THRESHOLD = 50_000
+
+
+@pytest.mark.parametrize("iterations,above_threshold", [
+    pytest.param(1, False, id="few_ops"),
+    pytest.param(340, True, id="many_ops"),
+])
+def test_simulate_job_schedules_on_the_vector_kernel(job, iterations, above_threshold):
+    result = simulate_job(job, iterations)
+    resolved = result.resolved_policy
+    assert (resolved.op_count >= FORMER_AUTO_VECTOR_THRESHOLD) is above_threshold
+    assert resolved.scheduler == "vector"
     assert isinstance(result.schedule, VectorSchedule)
 
 

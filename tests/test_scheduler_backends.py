@@ -5,7 +5,7 @@ byte-identical-schedule guarantee itself lives in the three-way differential
 harness, ``tests/test_engine_equivalence.py``):
 
 * the scheduler is no longer a policy field, runner keyword or CLI flag — every
-  such spelling is rejected;
+  such spelling is rejected — and its environment variable is ignored;
 * the vector kernel fed by the eager ``SimOp`` builders matches the heap oracle;
 * the :class:`~repro.sim.engine.VectorSchedule` surface: lazy materialisation,
   array-backed ``makespan``, inherited queries, validation;
@@ -25,7 +25,7 @@ from repro.sim.opbatch import OpBatch
 from repro.sim.ops import OpKind, SimOp, reset_op_counter
 from repro.sweep import SweepRunner, SweepSpec, configure_defaults, reset_defaults
 from repro.training.config import TrainingJobConfig
-from repro.training.simulation import build_iteration
+from repro.training.simulation import build_iteration, simulate_job
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +46,18 @@ def test_policy_rejects_unknown_scheduler_backend():
         ExecutionPolicy.resolve(scheduler="warp-drive")
     with pytest.raises(TypeError):
         ExecutionPolicy(scheduler="vector")
+
+
+def test_simulate_job_ignores_the_removed_scheduler_env_var(job, monkeypatch):
+    # $REPRO_SIM_SCHEDULER is no longer read: garbage in it neither raises nor
+    # moves simulate_job off the vector kernel or changes its schedule.
+    reset_op_counter()
+    clean = simulate_job(job, 1)
+    monkeypatch.setenv("REPRO_SIM_SCHEDULER", "quantum")
+    reset_op_counter()
+    dirty = simulate_job(job, 1)
+    assert dirty.resolved_policy.scheduler == "vector"
+    assert _schedule_tuples(dirty.schedule) == _schedule_tuples(clean.schedule)
 
 
 # ---------------------------------------------------- eager admission parity
@@ -220,6 +232,19 @@ def test_parallel_sweep_runs_on_vector_backend(tmp_path):
 
 
 # ------------------------------------------------------------------------ CLI
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--scheduler", "vector"],
+    ["compare", "--scheduler", "vector"],
+    ["experiment", "fig7", "--scheduler", "vector"],
+    ["sweep", "--scheduler", "heap"],
+    ["sweep", "--scheduler", "auto"],
+])
+def test_cli_rejects_the_removed_scheduler_flag(command, capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(command)
+    assert "unrecognized arguments: --scheduler" in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown_scheduler_value(capsys):
