@@ -469,7 +469,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         if not values:
             raise ConfigurationError(f"--set {key} has no value")
         kwargs[key] = values if len(values) > 1 else values[0]
-    # Scoped, not configure_defaults: the override must not outlive this command.
+    # Scoped: the override must not outlive this command.
     with configure(jobs=args.jobs):
         result = run_experiment(args.experiment_id, **kwargs)
     print(result.format())

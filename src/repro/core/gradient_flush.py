@@ -20,7 +20,8 @@ Each eager builder has a row-emitting twin (``make_*_flush_rows``) used by the
 array-batched fast path of :func:`repro.training.simulation.simulate_job`: instead of
 constructing ``SimOp`` objects it appends row tuples to an
 :class:`~repro.sim.opbatch.OpBatch`, one subgroup per call, producing bit-identical
-operations (same names, ids, durations and dependency tuples).  The golden tests in
+operations (same names, durations and dependency tuples; each row's id is its
+index in the batch).  The golden tests in
 ``tests/test_opbatch_equivalence.py`` hold the two implementations together.
 """
 
@@ -33,7 +34,7 @@ from repro.hardware.throughput import ThroughputProfile
 from repro.precision.dtypes import DType
 from repro.sim.engine import SimEngine
 from repro.sim.opbatch import OpBatch
-from repro.sim.ops import OpKind, SimOp, next_op_id
+from repro.sim.ops import OpKind, SimOp
 
 
 @dataclass
@@ -181,8 +182,8 @@ def make_baseline_flush_rows(
     behaviour: statically GPU-resident subgroups skip the flush entirely and their
     gradients are ready with the backward collective (``blocking_id`` is ``None``).
     """
-    rows_append = batch.rows.append
-    new_id = next_op_id
+    rows = batch.rows
+    rows_append = rows.append
     alloc_pps = profile.host_unpinned_alloc_pps
     d2h_pps = profile.unpinned_d2h_fp16_pps
     upscale_pps = profile.host_upscale_pps
@@ -192,16 +193,16 @@ def make_baseline_flush_rows(
         if index in skip_residents:
             flush.grad_ready_ops[index] = compute_dep
             return compute_dep, None
-        alloc_id = new_id()
+        alloc_id = len(rows)
         rows_append((f"host_alloc_grad[{index}]", OpKind.HOST_ALLOC, "cpu",
-                     params / alloc_pps, (compute_dep,), phase, index, 0, 0, alloc_id))
+                     params / alloc_pps, (compute_dep,), phase, index, 0, 0))
         payload = params * fp16
-        copy_id = new_id()
+        copy_id = len(rows)
         rows_append((f"d2h_grad_fp16[{index}]", OpKind.D2H, "pcie.d2h",
-                     params / d2h_pps, (alloc_id,), phase, index, payload, -payload, copy_id))
-        upscale_id = new_id()
+                     params / d2h_pps, (alloc_id,), phase, index, payload, -payload))
+        upscale_id = len(rows)
         rows_append((f"host_upscale_grad[{index}]", OpKind.CPU_UPSCALE, "cpu",
-                     params / upscale_pps, (copy_id,), phase, index, 0, 0, upscale_id))
+                     params / upscale_pps, (copy_id,), phase, index, 0, 0))
         flush.grad_ready_ops[index] = upscale_id
         flush.blocking_ops[index] = upscale_id
         flush.op_ids.extend((alloc_id, copy_id, upscale_id))
@@ -225,8 +226,8 @@ def make_overlapped_flush_rows(
     GPU-scheduled subgroups (per ``plan``) keep their gradients on the GPU and only
     pay the on-device conversion.
     """
-    rows_append = batch.rows.append
-    new_id = next_op_id
+    rows = batch.rows
+    rows_append = rows.append
     convert_pps = profile.gpu_convert_pps
     pinned_pps = profile.pinned_d2h_pps
     fp16 = DType.FP16.itemsize
@@ -238,18 +239,18 @@ def make_overlapped_flush_rows(
     )
 
     def emit(flush: GradientFlushOps, index: int, params: int, compute_dep: int):
-        convert_id = new_id()
+        convert_id = len(rows)
         rows_append((f"gpu_upscale_grad[{index}]", OpKind.GPU_CONVERT, "gpu.compute",
-                     params / convert_pps, (compute_dep,), phase, index, 0, 0, convert_id))
+                     params / convert_pps, (compute_dep,), phase, index, 0, 0))
         flush.op_ids.append(convert_id)
         if keep_on_gpu is not None and keep_on_gpu[index]:
             flush.grad_ready_ops[index] = convert_id
             return convert_id, None
-        copy_id = new_id()
+        copy_id = len(rows)
         payload = params * fp32
         rows_append((f"d2h_grad_fp32_pinned[{index}]", OpKind.D2H, "pcie.d2h",
                      params / pinned_pps, (convert_id,), phase, index,
-                     payload, -(params * fp16), copy_id))
+                     payload, -(params * fp16)))
         flush.grad_ready_ops[index] = copy_id
         flush.op_ids.append(copy_id)
         flush.d2h_bytes += payload

@@ -19,7 +19,8 @@ Each eager builder has a row-emitting twin (``build_*_update_rows``) that append
 row tuples to an :class:`~repro.sim.opbatch.OpBatch` instead of constructing
 ``SimOp`` objects — the array-batched fast path of
 :func:`repro.training.simulation.simulate_job`.  The twins must emit bit-identical
-operations in the same order (ids are drawn from the shared global counter), which
+operations in the same order (a row's id is its index in the batch; the eager ops
+match it when their default ids start from 0), which
 ``tests/test_opbatch_equivalence.py`` verifies end-to-end for every strategy.
 """
 
@@ -34,7 +35,7 @@ from repro.hardware.throughput import ThroughputProfile
 from repro.precision.dtypes import DType
 from repro.sim.engine import SimEngine
 from repro.sim.opbatch import OpBatch
-from repro.sim.ops import OpKind, SimOp, next_op_id
+from repro.sim.ops import OpKind, SimOp
 
 FP32 = DType.FP32.itemsize
 FP16 = DType.FP16.itemsize
@@ -352,8 +353,8 @@ def build_blocking_offload_update_rows(
     result = UpdatePhaseOps()
     op_ids_append = result.op_ids.append
     ready_append = result.params_ready_ops.append
-    rows_append = batch.rows.append
-    new_id = next_op_id
+    rows = batch.rows
+    rows_append = rows.append
     gpu_update_pps = profile.gpu_update_pps
     gpu_convert_pps = profile.gpu_convert_pps
     cpu_update_pps = profile.cpu_update_pps
@@ -367,13 +368,13 @@ def build_blocking_offload_update_rows(
         deps = start_deps
         if index in grad_ready_ops:
             deps += (grad_ready_ops[index],)
-        update_id = new_id()
+        update_id = len(rows)
         rows_append((f"gpu_update[{index}]", OpKind.GPU_UPDATE, "gpu.compute",
-                     params / gpu_update_pps, deps, phase, index, 0, 0, update_id))
+                     params / gpu_update_pps, deps, phase, index, 0, 0))
         op_ids_append(update_id)
-        convert_id = new_id()
+        convert_id = len(rows)
         rows_append((f"gpu_downscale[{index}]", OpKind.GPU_CONVERT, "gpu.compute",
-                     params / gpu_convert_pps, (update_id,), phase, index, 0, 0, convert_id))
+                     params / gpu_convert_pps, (update_id,), phase, index, 0, 0))
         op_ids_append(convert_id)
         blocking_tail = convert_id
         ready_append(convert_id)
@@ -386,19 +387,19 @@ def build_blocking_offload_update_rows(
             deps += (blocking_tail,)
         if index in grad_ready_ops:
             deps += (grad_ready_ops[index],)
-        update_id = new_id()
+        update_id = len(rows)
         rows_append((f"cpu_update[{index}]", OpKind.CPU_UPDATE, "cpu",
-                     params / cpu_update_pps, deps, phase, index, 0, 0, update_id))
+                     params / cpu_update_pps, deps, phase, index, 0, 0))
         op_ids_append(update_id)
-        downscale_id = new_id()
+        downscale_id = len(rows)
         rows_append((f"cpu_downscale[{index}]", OpKind.CPU_DOWNSCALE, "cpu",
-                     params / cpu_downscale_pps, (update_id,), phase, index, 0, 0, downscale_id))
+                     params / cpu_downscale_pps, (update_id,), phase, index, 0, 0))
         op_ids_append(downscale_id)
-        copy_id = new_id()
+        copy_id = len(rows)
         payload = params * FP16
         rows_append((f"h2d_params_fp16[{index}]", OpKind.H2D, "pcie.h2d",
                      params / (2.0 * pcie_pps), (downscale_id,), phase, index,
-                     payload, 0, copy_id))
+                     payload, 0))
         op_ids_append(copy_id)
         h2d_bytes += payload
         blocking_tail = copy_id
@@ -434,8 +435,8 @@ def build_interleaved_update_rows(
     result = UpdatePhaseOps()
     op_ids_append = result.op_ids.append
     ready_append = result.params_ready_ops.append
-    rows_append = batch.rows.append
-    new_id = next_op_id
+    rows = batch.rows
+    rows_append = rows.append
     gpu_update_pps = profile.gpu_update_pps
     gpu_convert_pps = profile.gpu_convert_pps
     cpu_downscale_pps = profile.cpu_downscale_pps
@@ -462,11 +463,11 @@ def build_interleaved_update_rows(
         deps = start_deps
         if position >= 1:
             deps += (gpu_update_ops[dynamic_gpu[position - 1]],)
-        prefetch_id = new_id()
+        prefetch_id = len(rows)
         payload = payload_params * FP32
         rows_append((f"prefetch_in[{index}]", OpKind.H2D, "pcie.h2d",
                      payload_params / pcie_pps, deps, phase, index,
-                     payload, staged_subgroup_bytes, prefetch_id))
+                     payload, staged_subgroup_bytes))
         op_ids_append(prefetch_id)
         prefetch_ops[index] = prefetch_id
         nonlocal h2d_bytes
@@ -477,13 +478,13 @@ def build_interleaved_update_rows(
         deps = start_deps + extra_deps
         if index in grad_ready_ops:
             deps += (grad_ready_ops[index],)
-        update_id = new_id()
+        update_id = len(rows)
         rows_append((f"gpu_update[{index}]", OpKind.GPU_UPDATE, "gpu.compute",
-                     params / gpu_update_pps, deps, phase, index, 0, 0, update_id))
+                     params / gpu_update_pps, deps, phase, index, 0, 0))
         op_ids_append(update_id)
-        convert_id = new_id()
+        convert_id = len(rows)
         rows_append((f"gpu_downscale[{index}]", OpKind.GPU_CONVERT, "gpu.compute",
-                     params / gpu_convert_pps, (update_id,), phase, index, 0, 0, convert_id))
+                     params / gpu_convert_pps, (update_id,), phase, index, 0, 0))
         op_ids_append(convert_id)
         return update_id, convert_id
 
@@ -502,11 +503,11 @@ def build_interleaved_update_rows(
             gpu_update_ops[index] = update_id
             ready_append(convert_id)
             result.per_subgroup_done[index] = convert_id
-            flush_id = new_id()
+            flush_id = len(rows)
             payload = 3 * params * FP32
             rows_append((f"flush_out[{index}]", OpKind.D2H, "pcie.d2h",
                          3 * params / pcie_pps, (update_id,), phase, index,
-                         payload, -staged_subgroup_bytes, flush_id))
+                         payload, -staged_subgroup_bytes))
             op_ids_append(flush_id)
             d2h_bytes += payload
             if position + 1 < len(dynamic_gpu):
@@ -526,19 +527,19 @@ def build_interleaved_update_rows(
             deps += (previous_cpu_op,)
         if index in grad_ready_ops:
             deps += (grad_ready_ops[index],)
-        update_id = new_id()
+        update_id = len(rows)
         rows_append((f"cpu_update[{index}]", OpKind.CPU_UPDATE, "cpu",
-                     params / cpu_update_pps, deps, phase, index, 0, 0, update_id))
+                     params / cpu_update_pps, deps, phase, index, 0, 0))
         op_ids_append(update_id)
-        downscale_id = new_id()
+        downscale_id = len(rows)
         rows_append((f"cpu_downscale[{index}]", OpKind.CPU_DOWNSCALE, "cpu",
-                     params / cpu_downscale_pps, (update_id,), phase, index, 0, 0, downscale_id))
+                     params / cpu_downscale_pps, (update_id,), phase, index, 0, 0))
         op_ids_append(downscale_id)
-        copy_id = new_id()
+        copy_id = len(rows)
         payload = params * FP16
         rows_append((f"h2d_params_fp16[{index}]", OpKind.H2D, "pcie.h2d",
                      params / (2.0 * pcie_pps), (downscale_id,), phase, index,
-                     payload, 0, copy_id))
+                     payload, 0))
         op_ids_append(copy_id)
         h2d_bytes += payload
         previous_cpu_op = update_id

@@ -18,9 +18,12 @@ Both a blocking-socket API (worker daemons are synchronous) and an
 ``asyncio`` stream API (the coordinator) are provided; they are wire-compatible
 by construction since both go through :func:`encode_frame` / :func:`decode_payload`.
 
-**Security model**: pickle crosses this wire.  The coordinator and its workers
-mutually trust each other and the network between them — see the security note
-in ``docs/dispatch.md``.  Nothing here authenticates peers.
+**Security model**: pickle crosses the cluster wire.  The coordinator and its
+workers mutually trust each other and the network between them — see the
+security note in ``docs/dispatch.md``.  Nothing here authenticates peers.  A
+reader that must not unpickle passes ``codecs=`` to :func:`read_frame`: a frame
+whose header names any other codec is refused before its payload is read, so
+its bytes are never decoded.  The serve daemon reads JSON frames only.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from repro.common.errors import ReproError
 
 CODEC_JSON = 0
 CODEC_PICKLE = 1
+ALL_CODECS = (CODEC_JSON, CODEC_PICKLE)
 
 _HEADER = struct.Struct("!IB")
 
@@ -77,11 +81,13 @@ def decode_payload(codec: int, payload: bytes) -> Any:
     raise FramingError(f"unknown frame codec {codec!r}")
 
 
-def _check_header(length: int, codec: int) -> None:
+def _check_header(length: int, codec: int, codecs: tuple[int, ...] = ALL_CODECS) -> None:
     if length > MAX_FRAME_BYTES:
         raise FramingError(f"frame length {length} exceeds the {MAX_FRAME_BYTES}-byte bound")
-    if codec not in (CODEC_JSON, CODEC_PICKLE):
+    if codec not in ALL_CODECS:
         raise FramingError(f"unknown frame codec {codec!r}")
+    if codec not in codecs:
+        raise FramingError(f"frame codec {codec!r} is not accepted here")
 
 
 # ------------------------------------------------------------- blocking socket
@@ -128,15 +134,18 @@ class ConnectionClosed(FramingError):
 # ------------------------------------------------------------- asyncio streams
 
 
-async def read_frame(reader: asyncio.StreamReader, *, prefix: bytes = b"") -> Any:
+async def read_frame(reader: asyncio.StreamReader, *, prefix: bytes = b"",
+                     codecs: tuple[int, ...] = ALL_CODECS) -> Any:
     """Read one complete frame from an asyncio stream.
 
     ``prefix`` replays bytes already consumed from the stream (the serve
     front sniffs the first byte to tell a frame from an HTTP request line and
-    hands it back here) — they count as the start of the header.
+    hands it back here) — they count as the start of the header.  ``codecs``
+    lists the codecs this reader accepts; any other is refused at the header,
+    before a byte of the payload is read.
 
     Raises :class:`ConnectionClosed` on clean EOF between frames and
-    :class:`FramingError` on a truncated or malformed frame.
+    :class:`FramingError` on a truncated, malformed or refused frame.
     """
     try:
         header = prefix + await reader.readexactly(_HEADER.size - len(prefix))
@@ -145,7 +154,7 @@ async def read_frame(reader: asyncio.StreamReader, *, prefix: bytes = b"") -> An
             raise ConnectionClosed("connection closed") from None
         raise FramingError("connection closed mid-frame") from None
     length, codec = _HEADER.unpack(header)
-    _check_header(length, codec)
+    _check_header(length, codec, codecs)
     try:
         payload = await reader.readexactly(length) if length else b""
     except asyncio.IncompleteReadError:
@@ -163,8 +172,9 @@ async def write_frame(writer: asyncio.StreamWriter, message: Any,
 # ----------------------------------------------------- request/response frames
 # The frame shapes spoken by the repro.serve daemon over this framing.  They
 # live here, next to the wire format, because server, client and tests all
-# need the same dict layout.  Serve frames are JSON-codec only: unlike the
-# cluster wire, nothing a serve client sends is ever unpickled.
+# need the same dict layout.  Serve frames are JSON-codec only: the server
+# reads them with ``read_frame(codecs=(CODEC_JSON,))``, which refuses any
+# other codec at the header, so no byte a serve client sends is unpickled.
 
 MSG_REQUEST = "request"
 MSG_RESPONSE = "response"

@@ -194,17 +194,13 @@ def _prepare_training_case(**params):
 def _finalize_training_group(payloads, stacked):
     """Per-scenario :class:`TrainingReport` values from one stacked schedule.
 
-    Breakdowns are computed for the whole group in one vectorised pass (the
-    per-iteration row indices are shared across a shape group), then each
+    Breakdowns are computed for the whole group in one vectorised pass (op ids
+    are row indices, shared by every member of a shape group), then each
     scenario's report aggregates them exactly like the per-scenario path —
     same floats, same JSON.
     """
     _, _, representative = payloads[0]
-    plans = breakdown_index_plans(
-        representative.records,
-        stacked.first_ids[0],
-        stacked.plan.rel_ids,
-    )
+    plans = breakdown_index_plans(representative.records)
     group_breakdowns = stacked_breakdowns(plans, stacked.starts, stacked.ends)
     reports = []
     for scenario_index, (trainer, job, prepared) in enumerate(payloads):

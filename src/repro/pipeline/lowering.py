@@ -33,7 +33,7 @@ from repro.common.errors import ConfigurationError
 from repro.pipeline.ir import PipelineSchedule, PipeOp, ScheduledNode, insert_comm_nodes
 from repro.pipeline.timing import PipelineTiming
 from repro.sim.opbatch import OpBatch
-from repro.sim.ops import OpKind, next_op_id
+from repro.sim.ops import OpKind
 
 #: Engine op kinds of each pipeline node kind.  F/B/W are stage compute;
 #: SEND rides the inter-stage link as a device-to-device transfer; RECV is a
@@ -128,18 +128,16 @@ def _durations(timing: PipelineTiming) -> dict[PipeOp, float]:
 def lower_schedule(schedule: PipelineSchedule, timing: PipelineTiming) -> LoweredPipeline:
     """Emit the op rows of ``schedule`` under ``timing``.
 
-    Communication nodes are inserted if the schedule is compute-only.  Ids are
-    pre-assigned in one pass over all stages so that dependency references to
-    later-emitted rows (gradient RECVs waiting on downstream SENDs) resolve;
-    the rows themselves follow in the same stage-major order, keeping ids
-    consecutive in row order for the vector kernel's fast lookup.
+    Communication nodes are inserted if the schedule is compute-only.  An op's
+    id is its row index; ids are pre-assigned in one pass over all stages so
+    that dependency references to later-emitted rows (gradient RECVs waiting
+    on downstream SENDs) resolve, and the rows follow in the same stage-major
+    order.
     """
     full = insert_comm_nodes(schedule)
     durations = _durations(timing)
-    node_ids: dict[tuple, int] = {}
-    for order in full.orders:
-        for node in order:
-            node_ids[_node_key(node)] = next_op_id()
+    nodes = [node for order in full.orders for node in order]
+    node_ids = {_node_key(node): row for row, node in enumerate(nodes)}
     last = full.stages - 1
 
     def deps_of(node: ScheduledNode) -> tuple[int, ...]:
@@ -162,26 +160,24 @@ def lower_schedule(schedule: PipelineSchedule, timing: PipelineTiming) -> Lowere
 
     batch = OpBatch()
     rows = batch.rows
-    for order in full.orders:
-        for node in order:
-            if node.op is PipeOp.SEND:
-                resource = link_resource(node.stage, node.peer)
-                payload_bytes = timing.comm_bytes
-            else:
-                resource = stage_resource(node.stage)
-                payload_bytes = 0
-            rows.append((
-                str(node),
-                _OP_KINDS[node.op],
-                resource,
-                durations[node.op],
-                deps_of(node),
-                node.op.value,
-                node.microbatch,
-                payload_bytes,
-                0,
-                node_ids[_node_key(node)],
-            ))
+    for node in nodes:
+        if node.op is PipeOp.SEND:
+            resource = link_resource(node.stage, node.peer)
+            payload_bytes = timing.comm_bytes
+        else:
+            resource = stage_resource(node.stage)
+            payload_bytes = 0
+        rows.append((
+            str(node),
+            _OP_KINDS[node.op],
+            resource,
+            durations[node.op],
+            deps_of(node),
+            node.op.value,
+            node.microbatch,
+            payload_bytes,
+            0,
+        ))
     return LoweredPipeline(
         schedule=full,
         timing=timing,

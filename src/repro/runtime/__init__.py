@@ -19,11 +19,9 @@ from repro.runtime.policy import (
     SIMULATION_FIELDS,
     ExecutionPolicy,
     ResolvedExecution,
-    clear_global_defaults,
     configure,
     policy_context,
     resolution_report,
-    set_global_defaults,
 )
 
 __all__ = [
@@ -39,6 +37,4 @@ __all__ = [
     "configure",
     "policy_context",
     "resolution_report",
-    "set_global_defaults",
-    "clear_global_defaults",
 ]

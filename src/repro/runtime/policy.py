@@ -14,8 +14,9 @@ the result around as a value.
    (which is where ``simulate_job(policy=...)``, ``SweepRunner(jobs=...)``
    and the CLI flags feed in);
 2. **active context** — the innermost :func:`configure` context manager that
-   sets the field (contexts nest; inner wins).  The sweep layer's
-   ``configure_defaults`` global sits at the bottom of this level;
+   sets the field (contexts nest; inner wins).  This level is the
+   ``configure()`` stack alone: it lives in a ``ContextVar``, so no
+   process-global setting can leak into another thread's resolution;
 3. **environment** — the ``REPRO_*`` variable for the field (see
    :data:`POLICY_FIELDS`);
 4. **default** — the field's built-in default.
@@ -226,12 +227,10 @@ POLICY_FIELDS: dict[str, _FieldSpec] = {
 # -------------------------------------------------------------------- contexts
 
 # The context level of the resolution order: a tuple-of-overlays stack in a
-# ContextVar (async- and thread-correct), plus one process-global overlay at
-# its bottom that backs the legacy ``repro.sweep.configure_defaults`` surface.
+# ContextVar (async- and thread-correct).
 _CONTEXT_STACK: ContextVar[tuple[Mapping[str, Any], ...]] = ContextVar(
     "repro_execution_policy_context", default=()
 )
-_GLOBAL_OVERLAY: dict[str, Any] = {}
 
 
 def _checked_overrides(overrides: Mapping[str, Any]) -> dict[str, Any]:
@@ -295,28 +294,11 @@ def policy_context(policy: "ExecutionPolicy") -> _PolicyContext:
     return _PolicyContext(policy.as_dict())
 
 
-def set_global_defaults(**overrides: Any) -> None:
-    """Install process-wide context-level defaults (``None`` leaves a field unchanged).
-
-    The bottom overlay of the context level — any active :func:`configure`
-    context overrides it, explicit arguments override both.  Backs the
-    ``repro.sweep.configure_defaults`` compatibility surface.
-    """
-    _GLOBAL_OVERLAY.update(_checked_overrides(overrides))
-
-
-def clear_global_defaults() -> None:
-    """Remove every global default installed by :func:`set_global_defaults`."""
-    _GLOBAL_OVERLAY.clear()
-
-
 def _context_lookup(name: str) -> tuple[bool, Any]:
     """(found, value) for ``name`` at the context level (innermost overlay wins)."""
     for overlay in reversed(_CONTEXT_STACK.get()):
         if name in overlay:
             return True, overlay[name]
-    if name in _GLOBAL_OVERLAY:
-        return True, _GLOBAL_OVERLAY[name]
     return False, None
 
 

@@ -46,6 +46,7 @@ from typing import Any, Mapping
 from repro.common.errors import ConfigurationError
 from repro.dispatch.cluster import parse_bind
 from repro.dispatch.framing import (
+    CODEC_JSON,
     ConnectionClosed,
     FramingError,
     make_error_response,
@@ -70,6 +71,10 @@ from repro.serve.http import HttpError, HttpRequest, format_response, read_http_
 
 #: Version reported by ``health``; bump on incompatible request-frame changes.
 SERVE_PROTOCOL_VERSION = 1
+
+#: Frame codecs the framed front reads: JSON only, so nothing a client sends
+#: is ever unpickled.
+_SERVE_CODECS = (CODEC_JSON,)
 
 #: Methods answered by the server itself, without a handler or the chain.
 _INTROSPECTION_METHODS = ("health", "metrics")
@@ -256,9 +261,19 @@ class ReproServer:
 
     async def _serve_framed(self, initial: bytes, reader: asyncio.StreamReader,
                             writer: asyncio.StreamWriter) -> None:
-        """A persistent framed connection: request frames in, responses out."""
+        """A persistent framed connection: request frames in, responses out.
+
+        Frames are read JSON-only: a header naming any other codec (pickle
+        above all) is refused before its payload is read, answered with one
+        ``status=400`` error frame, and the connection is closed — the
+        unread payload leaves the stream out of step.
+        """
         default_client = self._peer_host(writer)
-        frame = await read_frame(reader, prefix=initial)
+        try:
+            frame = await read_frame(reader, prefix=initial, codecs=_SERVE_CODECS)
+        except FramingError as exc:
+            await self._refuse_frame(writer, exc)
+            return
         while True:
             try:
                 request_id, method, params, overrides, client = parse_request(frame)
@@ -271,9 +286,18 @@ class ReproServer:
                                                overrides, client or default_client)
             await write_frame(writer, response)
             try:
-                frame = await read_frame(reader)
+                frame = await read_frame(reader, codecs=_SERVE_CODECS)
             except ConnectionClosed:
                 return
+            except FramingError as exc:
+                await self._refuse_frame(writer, exc)
+                return
+
+    async def _refuse_frame(self, writer: asyncio.StreamWriter, exc: FramingError) -> None:
+        """Answer an unreadable frame with one 400 error frame (the caller closes)."""
+        self.errors_total += 1
+        await write_frame(writer, make_error_response(None, type(exc).__name__,
+                                                      str(exc), error_status(exc)))
 
     async def _respond(self, request_id: Any, method: str, params: dict,
                        overrides: dict, client: str) -> dict:

@@ -13,7 +13,7 @@ per-resource busy time and utilisation, and can be sampled into GPU-memory and P
 throughput time series to reproduce Figures 3, 4 and 15.
 """
 
-from repro.sim.ops import OpKind, SimOp, next_op_id
+from repro.sim.ops import OpKind, SimOp
 from repro.sim.engine import (
     Resource,
     Schedule,
@@ -28,7 +28,6 @@ __all__ = [
     "OpKind",
     "SimOp",
     "OpBatch",
-    "next_op_id",
     "SimEngine",
     "Resource",
     "Schedule",

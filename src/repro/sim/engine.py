@@ -25,18 +25,24 @@ The engine has three admission paths with identical semantics:
   :class:`~repro.sim.opbatch.OpBatch` of row tuples; the scheduler runs directly on
   the rows and materialises ``SimOp`` objects only for the finished schedule, which
   makes large DAGs (10k+ optimizer subgroups) several times cheaper end-to-end;
-* **vector** — :meth:`SimEngine.run_vector` schedules a batch (or the eager
-  submissions) on the numpy struct-of-arrays kernel in
+* **vector** — :meth:`SimEngine.run_vector` schedules a batch on the numpy
+  struct-of-arrays kernel in
   :mod:`repro.sim.veckernel`, which replaces the per-op heap/dict event loop
   with flat arrays and run-at-a-time scans — the production path; it is the
   fastest at every size measured.
 
 The heap paths (:meth:`SimEngine.run` / :meth:`SimEngine.run_batch`) are kept as
 the reference the differential tests compare the kernel against; no production
-code calls them.  All paths must produce byte-identical schedules; ``tests/test_opbatch_equivalence.py``
-is the golden test for the batched path and the three-way differential harness in
-``tests/test_engine_equivalence.py`` covers all of them against the seed
-list-scheduler reference.
+code calls them.
+
+**Op ids.**  A batch op's id is its row index (:mod:`repro.sim.opbatch`), so the
+batched and vector paths index their state by row and never translate ids.  Only
+the eager path accepts arbitrary ids — hand-built :class:`~repro.sim.ops.SimOp`
+graphs, whose ids may have gaps or disagree with submission order, go to
+:meth:`SimEngine.run`.  All paths must produce byte-identical schedules;
+``tests/test_opbatch_equivalence.py`` is the golden test for the batched path and
+the three-way differential harness in ``tests/test_engine_equivalence.py`` covers
+all of them against the seed list-scheduler reference.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from dataclasses import dataclass, field
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.middleware.base import SEAM_ENGINE, MiddlewareContext
-from repro.sim.opbatch import row_from_simop, simop_from_row
+from repro.sim.opbatch import simop_from_row
 from repro.sim.ops import OpKind, SimOp
 
 
@@ -290,7 +296,7 @@ def _materialise_ops(rows: list[tuple], triples) -> list[ScheduledOp]:
         for index, start, end in triples:
             item = new_item(ScheduledOp)
             set_attr(item, "__dict__",
-                     {"op": simop_from_row(rows[index]), "start": start, "end": end})
+                     {"op": simop_from_row(rows[index], index), "start": start, "end": end})
             append(item)
         return ops
     finally:
@@ -301,8 +307,9 @@ def _materialise_ops(rows: list[tuple], triples) -> list[ScheduledOp]:
 class VectorSchedule(Schedule):
     """A :class:`Schedule` whose per-op objects materialise lazily.
 
-    The vector kernel finishes with flat start/end/op-id arrays — everything
-    array-backed queries need.  Sorting the schedule and building the 100k+
+    The vector kernel finishes with flat per-row start/end arrays — everything
+    array-backed queries need, since an op's id is its row index.  Sorting the
+    schedule and building the 100k+
     :class:`ScheduledOp`/:class:`~repro.sim.ops.SimOp` objects of a large grid
     cost more than the scheduling itself, so both are deferred to the first
     access of :attr:`ops`; ``makespan`` is answered from the arrays directly.
@@ -311,41 +318,19 @@ class VectorSchedule(Schedule):
     query behaves identically.
     """
 
-    def __init__(self, rows: list[tuple], starts, ends, op_id_column, resources: list[str]) -> None:
+    def __init__(self, rows: list[tuple], starts, ends, resources: list[str]) -> None:
         self._rows = rows
         self._starts = starts
         self._ends = ends
-        self._op_id_column = op_id_column
         self._ops_cache: list[ScheduledOp] | None = None
-        self._row_lookup = None
         self.resources = resources
         self._index_cache = None
 
     def _row_of(self, op_id: int) -> int:
-        """Row index of ``op_id`` without materialising any ``ScheduledOp``."""
-        if self._row_lookup is None:
-            from repro.sim.veckernel import np
-
-            column = self._op_id_column
-            size = int(column.shape[0])
-            if size and int(column[-1]) - int(column[0]) + 1 == size \
-                    and bool((np.diff(column) == 1).all()):
-                # Consecutive ids (every builder batch): row = id - first id.
-                self._row_lookup = (int(column[0]), size)
-            else:
-                self._row_lookup = {
-                    op_id: row for row, op_id in enumerate(column.tolist())
-                }
-        lookup = self._row_lookup
-        if isinstance(lookup, tuple):
-            row = op_id - lookup[0]
-            if 0 <= row < lookup[1]:
-                return row
-            raise KeyError(f"no scheduled op with id {op_id}")
-        try:
-            return lookup[op_id]
-        except KeyError:
-            raise KeyError(f"no scheduled op with id {op_id}") from None
+        """Row index of ``op_id`` (the id itself, once bounds-checked)."""
+        if 0 <= op_id < len(self._rows):
+            return op_id
+        raise KeyError(f"no scheduled op with id {op_id}")
 
     def op_start(self, op_id: int) -> float:  # type: ignore[override]
         """Start time by op id, straight from the kernel's start column."""
@@ -360,7 +345,7 @@ class VectorSchedule(Schedule):
         if self._ops_cache is None:
             from repro.sim.veckernel import schedule_order
 
-            order = schedule_order(self._starts, self._op_id_column)
+            order = schedule_order(self._starts)
             self._ops_cache = _materialise_ops(
                 self._rows,
                 zip(order.tolist(), self._starts[order].tolist(), self._ends[order].tolist()),
@@ -562,7 +547,8 @@ class SimEngine:
         ``SimOp`` objects are created only at the end, one ``__dict__`` assignment
         per scheduled row, so the result is a plain :class:`Schedule` that compares
         equal (including op ids, names and exact float times) to what expanding the
-        batch through :meth:`submit`/:meth:`run` would produce; the golden tests in
+        batch through :meth:`submit`/:meth:`run` would produce (op ids are row
+        indices, so the loop keys its state by row); the golden tests in
         ``tests/test_opbatch_equivalence.py`` enforce that bit-for-bit.
 
         ``validate=False`` (the default) skips :meth:`Schedule.validate`: the loop
@@ -621,10 +607,10 @@ class SimEngine:
 
         release_times = batch.release_times
         heads = {name: 0 for name in queues}
-        finished: dict[int, float] = {}
+        finished: dict[int, float] = {}  # row index -> end time
         finished_get = finished.get
         resource_free = {name: 0.0 for name in resources}
-        scheduled: list[tuple[float, int, float, int]] = []  # (start, op_id, end, row index)
+        scheduled: list[tuple[float, int, float]] = []  # (start, row index, end)
         sched_append = scheduled.append
 
         waiting: dict[int, list[str]] = {}
@@ -637,8 +623,8 @@ class SimEngine:
             queue = queues[name]
             if position >= len(queue):
                 return
-            row = rows[queue[position]]
-            deps = row[4]
+            index = queue[position]
+            deps = rows[index][4]
             deps_end = 0.0
             if deps:
                 if len(deps) == 1:
@@ -664,7 +650,7 @@ class SimEngine:
             if deps_end > start:
                 start = deps_end
             if release_times:
-                release = release_times.get(row[9], 0.0)
+                release = release_times.get(index, 0.0)
                 if release > start:
                     start = release
             push(ready, (start, name))
@@ -687,25 +673,21 @@ class SimEngine:
             position = heads[name]
             heads[name] = position + 1
             index = queues[name][position]
-            row = rows[index]
-            end = start + row[3]
-            op_id = row[9]
-            finished[op_id] = end
+            end = start + rows[index][3]
+            finished[index] = end
             resource_free[name] = end
-            sched_append((start, op_id, end, index))
+            sched_append((start, index, end))
             remaining -= 1
             arm(name)
-            if op_id in waiting:
-                for blocked_name in waiting.pop(op_id):
+            if index in waiting:
+                for blocked_name in waiting.pop(index):
                     blocked[blocked_name] -= 1
                     if blocked[blocked_name] == 0:
                         del blocked[blocked_name]
                         arm(blocked_name)
 
         scheduled.sort()
-        ops = _materialise_ops(
-            rows, ((index, start, end) for start, _, end, index in scheduled)
-        )
+        ops = _materialise_ops(rows, ((index, start, end) for start, index, end in scheduled))
 
         schedule = Schedule(ops=ops, resources=list(self._resources))
         if validate:
@@ -713,17 +695,16 @@ class SimEngine:
         return schedule
 
 
-    def run_vector(self, batch=None, *, validate: bool = False) -> Schedule:
-        """Schedule on the numpy vector kernel (:mod:`repro.sim.veckernel`).
+    def run_vector(self, batch, *, validate: bool = False) -> Schedule:
+        """Schedule an :class:`~repro.sim.opbatch.OpBatch` on the numpy vector kernel.
 
-        The third admission path: pass an :class:`~repro.sim.opbatch.OpBatch`
-        to schedule its rows, or no batch to consume the eagerly submitted
-        operations exactly as :meth:`run` would (single-shot semantics
-        included).  The kernel performs the same float operations as the heap
-        scheduler over struct-of-arrays state, so the resulting schedule is
-        byte-identical to :meth:`run`/:meth:`run_batch` on the same DAG — the
-        three-way differential harness in ``tests/test_engine_equivalence.py``
-        enforces that bit-for-bit.
+        The kernel (:mod:`repro.sim.veckernel`) performs the same float
+        operations as the heap scheduler over struct-of-arrays state, so the
+        resulting schedule is byte-identical to :meth:`run_batch` on the same
+        batch and to :meth:`run` on its expansion — the three-way differential
+        harness in ``tests/test_engine_equivalence.py`` enforces that
+        bit-for-bit.  Eager submissions are not accepted: hand-built ``SimOp``
+        graphs (arbitrary ids) belong to :meth:`run`.
 
         Returns a :class:`VectorSchedule`: start/end times and schedule order
         are final on return, while ``ScheduledOp`` materialisation is deferred
@@ -735,11 +716,10 @@ class SimEngine:
         FIFO/dependency deadlocks.
         """
         if self._middleware is not None:
-            op_count = len(batch.rows) if batch is not None else self.pending_ops
             return self._intercept(
                 "run_vector",
                 "vector",
-                op_count,
+                len(batch.rows),
                 lambda: self._run_vector_kernel(batch, validate),
             )
         return self._run_vector_kernel(batch, validate)
@@ -748,28 +728,15 @@ class SimEngine:
         """The vector-kernel scheduling core of :meth:`run_vector`."""
         from repro.sim.veckernel import schedule_rows
 
-        if batch is None:
-            rows = [row_from_simop(op) for op in self._submission_order]
-            release_times = self._release_times
-        else:
-            if self._submission_order:
-                raise ConfigurationError(
-                    "run_vector on an engine with eagerly submitted pending ops; "
-                    "use either submit()+run_vector() or run_vector(batch), not both"
-                )
-            batch.validate_rows()
-            rows = batch.rows
-            release_times = batch.release_times
-
-        starts, ends, op_id_column = schedule_rows(rows, release_times, list(self._resources))
-        if batch is None:
-            # Single-shot reset, as in run(): only after successful scheduling,
-            # so a deadlock error leaves the submissions intact (run() raises
-            # before its own reset too).
-            self._queues = {name: deque() for name in self._resources}
-            self._submission_order = []
-            self._release_times = {}
-        schedule = VectorSchedule(rows, starts, ends, op_id_column, list(self._resources))
+        if self._submission_order:
+            raise ConfigurationError(
+                "run_vector on an engine with eagerly submitted pending ops; "
+                "use either submit()+run() or run_vector(batch), not both"
+            )
+        batch.validate_rows()
+        rows = batch.rows
+        starts, ends = schedule_rows(rows, batch.release_times, list(self._resources))
+        schedule = VectorSchedule(rows, starts, ends, list(self._resources))
         if validate:
             schedule.validate()
         return schedule

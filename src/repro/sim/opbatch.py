@@ -9,22 +9,23 @@ tuple appended to one list, and the engine's batch-admission path
 (:meth:`repro.sim.engine.SimEngine.run_batch`) schedules straight off those rows,
 materialising ``SimOp`` objects only once, for the finished :class:`~repro.sim.engine.Schedule`.
 
-The row layout is the ``SimOp`` field order (see :data:`ROW_FIELDS`), so a row is
-exactly the ``__dict__`` of the ``SimOp`` it expands to.  Rows are stored row-major
-(one tuple per op) rather than as per-field parallel lists because in CPython one
-tuple display plus one ``list.append`` is ~3x cheaper than ten list appends; the
+The row layout is the ``SimOp`` field order minus ``op_id`` (see :data:`ROW_FIELDS`):
+an op's id is its **row index** in the batch.  Builders read the id of the op they
+are about to emit as ``len(batch.rows)``, and dependencies name earlier (or, for
+pre-planned DAGs, later) rows of the same batch.  Ids therefore depend on nothing
+but the batch itself — building the same DAG twice yields the same ids, whatever
+else the process built in between.  Rows are stored row-major (one tuple per op)
+rather than as per-field parallel lists because in CPython one tuple display plus
+one ``list.append`` is ~3x cheaper than nine list appends; the
 :meth:`OpBatch.column` accessor recovers the columnar view when analysis wants it.
 
-Two invariants make the batch path a drop-in replacement for eager submission:
-
-* **Id compatibility** — rows draw ids from the same global counter as ``SimOp``
-  (:func:`~repro.sim.ops.next_op_id`), so a batch-built schedule carries the exact
-  ids the eager path would have produced.
-* **Golden equivalence** — for every supported workload, ``run_batch`` over a batch
-  produces a byte-identical :class:`~repro.sim.engine.Schedule` (same ops, same
-  floats) to expanding the batch and running :meth:`~repro.sim.engine.SimEngine.run`.
-  ``tests/test_opbatch_equivalence.py`` enforces this for raw DAGs and for the full
-  ``simulate_job`` pipeline of every offloading strategy.
+**Golden equivalence** — for every supported workload, ``run_batch`` over a batch
+produces a byte-identical :class:`~repro.sim.engine.Schedule` (same ops, same
+floats) to expanding the batch and running :meth:`~repro.sim.engine.SimEngine.run`.
+``tests/test_opbatch_equivalence.py`` enforces this for raw DAGs and, against the
+eager ``SimOp`` builders (whose default ids count from 0 after
+:func:`~repro.sim.ops.reset_op_counter`, so they coincide with row indices), for the
+full ``simulate_job`` pipeline of every offloading strategy.
 
 Hot builders (the per-subgroup loops of the training simulation) bypass
 :meth:`OpBatch.add_op` and append row tuples directly via ``batch.rows.append`` —
@@ -34,10 +35,10 @@ the method exists for generic callers and tests, the row layout is the actual AP
 from __future__ import annotations
 
 from repro.common.errors import ConfigurationError
-from repro.sim.ops import OpKind, SimOp, next_op_id
+from repro.sim.ops import OpKind, SimOp
 
-#: Row layout, in ``SimOp`` field order.  ``OpBatch`` rows are tuples indexed by
-#: these positions; ``expand()`` zips them back into ``SimOp`` attribute dicts.
+#: Row layout, in ``SimOp`` field order without ``op_id`` (a row's id is its index).
+#: ``OpBatch`` rows are tuples indexed by these positions.
 ROW_FIELDS = (
     "name",
     "kind",
@@ -48,37 +49,23 @@ ROW_FIELDS = (
     "subgroup",
     "payload_bytes",
     "gpu_mem_delta",
-    "op_id",
 )
 
 # Positional indices into a row tuple, for readers of the scheduling loop.
-NAME, KIND, RESOURCE, DURATION, DEPS, PHASE, SUBGROUP, PAYLOAD, MEM_DELTA, OP_ID = range(10)
+NAME, KIND, RESOURCE, DURATION, DEPS, PHASE, SUBGROUP, PAYLOAD, MEM_DELTA = range(9)
 
 _NEW_SIMOP = SimOp.__new__
 
 
-def row_from_simop(op: SimOp) -> tuple:
-    """Pack one ``SimOp`` as a row tuple (the inverse of :func:`simop_from_row`).
-
-    The single place that spells out the row layout from object attributes —
-    callers that turn eager submissions into rows (e.g.
-    :meth:`~repro.sim.engine.SimEngine.run_vector`) go through it, so a
-    ``SimOp`` field change only has to touch :data:`ROW_FIELDS` and the two
-    converters.
-    """
-    return (op.name, op.kind, op.resource, op.duration, op.deps, op.phase,
-            op.subgroup, op.payload_bytes, op.gpu_mem_delta, op.op_id)
-
-
-def simop_from_row(row: tuple, _new=_NEW_SIMOP) -> SimOp:
-    """Materialise one row as a ``SimOp`` without running ``SimOp.__init__``.
+def simop_from_row(row: tuple, op_id: int, _new=_NEW_SIMOP) -> SimOp:
+    """Materialise row ``op_id`` as a ``SimOp`` without running ``SimOp.__init__``.
 
     The single place that maps row positions back to ``SimOp`` attributes — both
-    :meth:`OpBatch.expand` and the schedule materialisation in
-    :meth:`~repro.sim.engine.SimEngine.run_batch` go through it, so a ``SimOp``
+    :meth:`OpBatch.expand` and schedule materialisation
+    (:func:`repro.sim.engine._materialise_ops`) go through it, so a ``SimOp``
     field change only has to touch :data:`ROW_FIELDS` and this function.
     """
-    name, kind, resource, duration, deps, phase, subgroup, payload, delta, op_id = row
+    name, kind, resource, duration, deps, phase, subgroup, payload, delta = row
     op = _new(SimOp)
     op.__dict__ = {
         "name": name, "kind": kind, "resource": resource, "duration": duration,
@@ -91,9 +78,9 @@ def simop_from_row(row: tuple, _new=_NEW_SIMOP) -> SimOp:
 class OpBatch:
     """A batch of operations represented as row tuples instead of ``SimOp`` objects.
 
-    The batch is append-only: :meth:`add_op` (or a direct ``rows.append`` with a
-    tuple in :data:`ROW_FIELDS` order and an id from
-    :func:`~repro.sim.ops.next_op_id`) adds one operation and returns its id.
+    The batch is append-only: :meth:`add_op` (or a direct ``rows.append`` of a
+    tuple in :data:`ROW_FIELDS` order) adds one operation, whose id is the row
+    index it lands at.
     Submission order is row order; per-resource FIFO order follows from it exactly
     as it does for :meth:`~repro.sim.engine.SimEngine.submit`.
 
@@ -107,7 +94,7 @@ class OpBatch:
 
     def __init__(self) -> None:
         self.rows: list[tuple] = []
-        #: op id -> earliest allowed start (the ``not_before`` of eager submission).
+        #: row index -> earliest allowed start (the ``not_before`` of eager submission).
         self.release_times: dict[int, float] = {}
 
     def __len__(self) -> int:
@@ -129,13 +116,13 @@ class OpBatch:
         *,
         not_before: float = 0.0,
     ) -> int:
-        """Append one operation row; returns its globally unique op id."""
+        """Append one operation row; returns its op id (the new row's index)."""
         if not_before < 0:
             raise ConfigurationError("not_before must be non-negative")
-        op_id = next_op_id()
+        op_id = len(self.rows)
         self.rows.append(
             (name, kind, resource, duration, tuple(deps), phase, subgroup,
-             payload_bytes, gpu_mem_delta, op_id)
+             payload_bytes, gpu_mem_delta)
         )
         if not_before > 0:
             self.release_times[op_id] = not_before
@@ -168,11 +155,12 @@ class OpBatch:
     def expand(self) -> list[SimOp]:
         """Materialise every row as a ``SimOp`` (used by the equivalence tests).
 
-        The expansion bypasses ``SimOp.__init__``: a row already *is* the attribute
-        dict, so each op is ``__new__`` plus one ``__dict__`` assignment.  Run
+        The expansion bypasses ``SimOp.__init__``: a row plus its index already
+        *is* the attribute dict, so each op is ``__new__`` plus one ``__dict__``
+        assignment.  Run
         :meth:`validate_rows` first when the rows come from an untrusted builder.
         """
-        return [simop_from_row(row) for row in self.rows]
+        return [simop_from_row(row, index) for index, row in enumerate(self.rows)]
 
     def submit_to(self, engine) -> list[int]:
         """Expand and submit every row to an eager engine (equivalence testing)."""

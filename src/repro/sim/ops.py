@@ -36,18 +36,10 @@ class OpKind(enum.Enum):
         return self in (OpKind.H2D, OpKind.D2H)
 
 
+#: Default-id source for hand-built :class:`SimOp` graphs (tests and the eager
+#: reference builders).  Production ops live in :class:`~repro.sim.opbatch.OpBatch`
+#: rows, whose ids are their row indices and never come from here.
 _op_counter = itertools.count()
-
-
-def next_op_id() -> int:
-    """Allocate the next global op id.
-
-    :class:`SimOp` draws from the same counter via its ``op_id`` default factory, so
-    interleaving eager ``SimOp`` construction with :class:`~repro.sim.opbatch.OpBatch`
-    row appends yields one globally consistent id sequence — the property the
-    opbatch golden-equivalence tests rely on.
-    """
-    return next(_op_counter)
 
 
 @dataclass
@@ -56,7 +48,9 @@ class SimOp:
 
     ``duration`` is the service time in seconds once the operation starts.  ``deps``
     are operation ids that must complete before this operation may start (in addition
-    to the FIFO order of its resource).  ``payload_bytes`` is used to reconstruct
+    to the FIFO order of its resource).  ``op_id`` defaults to the next value of a
+    process-wide counter; ops materialised from :class:`~repro.sim.opbatch.OpBatch`
+    rows carry their row index instead.  ``payload_bytes`` is used to reconstruct
     bandwidth traces; ``gpu_mem_delta`` is applied to the GPU-memory timeline when the
     operation completes (positive = allocation, negative = free).
     """
@@ -81,6 +75,6 @@ class SimOp:
 
 
 def reset_op_counter() -> None:
-    """Reset the global op-id counter (used by tests for deterministic ids)."""
+    """Restart :class:`SimOp`'s default ids at 0 (eager builders then match row indices)."""
     global _op_counter
     _op_counter = itertools.count()

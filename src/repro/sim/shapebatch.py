@@ -27,12 +27,13 @@ to the per-scenario paths; ``tests/test_shapebatch.py`` enforces that
 bit-for-bit against both the scalar vector kernel and the heap engine.
 
 **What is in a ShapeKey.**  Everything the control flow can see: per-row
-resource names, dependency edges and op ids (both normalised relative to the
-batch's first id, so two batches drawn from different stretches of the global
-id counter still match), and the *structure* of release times (which rows
-have one).  Everything that only feeds floats — durations and release-time
-*values* — is deliberately excluded: two scenarios that differ only in
-durations share a key, which is the entire point.
+resource names, dependency edges, and the *structure* of release times (which
+rows have one).  An op's id is its row index (:mod:`repro.sim.opbatch`), so
+edges and release keys are row indices already and need no normalisation: the
+same DAG built at any point of a process's life has the same key.
+Everything that only feeds floats — durations and release-time *values* — is
+deliberately excluded: two scenarios that differ only in durations share a
+key, which is the entire point.
 """
 
 from __future__ import annotations
@@ -57,9 +58,9 @@ except ImportError:  # pragma: no cover - exercised only on broken installs
 class ShapeKey:
     """Topology fingerprint of an op batch: equal keys mean one shared plan.
 
-    ``digest`` hashes the scheduling topology (resources, relative op ids,
-    relative dependency edges, release-time structure); ``op_count`` rides
-    along for cheap sanity checks and logging.  Duration or release-time
+    ``digest`` hashes the scheduling topology (resources, dependency edges,
+    release-time structure); ``op_count`` rides along for cheap sanity checks
+    and logging.  Duration or release-time
     *value* changes never change a key.
     """
 
@@ -74,9 +75,6 @@ def shape_key(batch) -> ShapeKey:
     n = len(rows)
     if n == 0:
         return ShapeKey(digest=hashlib.sha256(b"empty").hexdigest(), op_count=0)
-    first_id = rows[0][9]
-    ids = np.fromiter(map(itemgetter(9), rows), dtype=np.int64, count=n)
-    rel_ids = ids - first_id
     deps_col = list(map(itemgetter(4), rows))
     dep_counts = np.fromiter(map(len, deps_col), dtype=np.int64, count=n)
     flat_deps = np.fromiter(
@@ -84,15 +82,12 @@ def shape_key(batch) -> ShapeKey:
     )
     hasher = hashlib.sha256()
     hasher.update("\x1f".join(map(itemgetter(2), rows)).encode())
-    hasher.update(rel_ids.tobytes())
     hasher.update(dep_counts.tobytes())
-    if flat_deps.size:
-        hasher.update((flat_deps - first_id).tobytes())
+    hasher.update(flat_deps.tobytes())
     # Release-time *structure* only: which rows carry one, not their values.
     if batch.release_times:
-        release_ids = np.asarray(sorted(batch.release_times), dtype=np.int64)
         hasher.update(b"release")
-        hasher.update((release_ids - first_id).tobytes())
+        hasher.update(np.asarray(sorted(batch.release_times), dtype=np.int64).tobytes())
     return ShapeKey(digest=hasher.hexdigest(), op_count=n)
 
 
@@ -102,15 +97,13 @@ class ShapePlan:
 
     ``steps`` is the finalisation sequence the vector kernel's frontier loop
     produces for this topology: per step the row index, its resource code and
-    the successor rows whose lower bounds it raises.  ``rel_ids`` are the
-    batch-relative op ids (scenario ids are ``first id + rel_ids``);
-    ``release_rows`` are the row indices carrying a release time.
+    the successor rows whose lower bounds it raises.  ``release_rows`` are the
+    rows (equivalently, op ids) carrying a release time.
     """
 
     resource_names: tuple[str, ...]
     op_count: int
     steps: tuple[tuple[int, int, tuple[int, ...]], ...]
-    rel_ids: "np.ndarray"
     release_rows: tuple[int, ...]
 
 
@@ -130,15 +123,10 @@ def compile_plan(batch, resource_names) -> ShapePlan:
     resource_names = tuple(resource_names)
     n = len(rows)
     if n == 0:
-        return ShapePlan(
-            resource_names=resource_names, op_count=0, steps=(),
-            rel_ids=np.empty(0, dtype=np.int64), release_rows=(),
-        )
-    queues, pending, _lb, succ_ptr, succ_tgt, _durations, op_ids = _compile(
+        return ShapePlan(resource_names=resource_names, op_count=0, steps=(), release_rows=())
+    queues, pending, _lb, succ_ptr, succ_tgt, _durations = _compile(
         rows, batch.release_times, list(resource_names)
     )
-    first_id = rows[0][9]
-    rel_ids = op_ids - first_id
 
     row_resource = [0] * n
     for code, queue in enumerate(queues):
@@ -183,15 +171,10 @@ def compile_plan(batch, resource_names) -> ShapePlan:
             )
         remaining -= progressed
 
-    release_rows: tuple[int, ...] = ()
-    if batch.release_times:
-        by_id = {op_id: index for index, op_id in enumerate(op_ids.tolist())}
-        release_rows = tuple(
-            by_id[op_id] for op_id in sorted(batch.release_times) if op_id in by_id
-        )
+    release_rows = tuple(row for row in sorted(batch.release_times) if 0 <= row < n)
     return ShapePlan(
         resource_names=resource_names, op_count=n, steps=tuple(steps),
-        rel_ids=rel_ids, release_rows=release_rows,
+        release_rows=release_rows,
     )
 
 
@@ -203,13 +186,11 @@ class ScenarioColumn:
     tuples as soon as it has prepared them — holding hundreds of row lists
     alive for the whole group keeps the garbage collector re-scanning them —
     while the stacked pass still sees everything scenario-specific: the
-    duration vector (row order), the release times (keyed by original op id)
-    and the batch's first op id.
+    duration vector and the release times, both by row.
     """
 
     durations: "np.ndarray"
     release_times: Mapping[int, float]
-    first_id: int
 
 
 def scenario_column(batch) -> ScenarioColumn:
@@ -220,7 +201,6 @@ def scenario_column(batch) -> ScenarioColumn:
     return ScenarioColumn(
         durations=np.fromiter(map(itemgetter(3), rows), dtype=np.float64, count=n),
         release_times=dict(batch.release_times),
-        first_id=rows[0][9] if n else 0,
     )
 
 
@@ -232,19 +212,19 @@ class StackedSchedule:
     times; :meth:`schedule_for` slices one scenario back out as a lazy
     :class:`~repro.sim.engine.VectorSchedule`.  ``rows`` optionally carries the
     group representative's op rows so callers that dropped their own rows
-    (column-extracted scenarios) can still materialise schedules — start, end
-    and op-id columns are exact per scenario; only row metadata is shared.
+    (column-extracted scenarios) can still materialise schedules — start and
+    end columns are exact per scenario, and op ids are row indices, so only row
+    metadata (names, payloads) is shared.
     """
 
     plan: ShapePlan
     starts: "np.ndarray"
     ends: "np.ndarray"
-    first_ids: tuple[int, ...]
     rows: Any = field(default=None, compare=False)
 
     @property
     def num_scenarios(self) -> int:
-        return len(self.first_ids)
+        return int(self.starts.shape[1])
 
     def columns_for(self, scenario: int) -> tuple["np.ndarray", "np.ndarray"]:
         """Contiguous per-row (starts, ends) columns of one scenario."""
@@ -267,26 +247,23 @@ class StackedSchedule:
                 "schedule_for needs op rows (pass rows= or set StackedSchedule.rows)"
             )
         starts, ends = self.columns_for(scenario)
-        op_ids = self.plan.rel_ids + self.first_ids[scenario]
-        return VectorSchedule(rows, starts, ends, op_ids, list(self.plan.resource_names))
+        return VectorSchedule(rows, starts, ends, list(self.plan.resource_names))
 
 
 def stack_solo(schedule: VectorSchedule) -> StackedSchedule:
     """One solo vector-kernel schedule as a one-column :class:`StackedSchedule`.
 
     Lets a scenario whose shape group is too small to stack reach the same
-    finalizer a stacked group does.  The plan carries the schedule's ids and
-    resources but no replay steps: the kernel already scheduled the rows.
+    finalizer a stacked group does.  The plan carries the schedule's resources
+    but no replay steps: the kernel already scheduled the rows.
     """
-    op_ids = schedule._op_id_column
-    first_id = int(op_ids[0]) if op_ids.shape[0] else 0
     plan = ShapePlan(
-        resource_names=tuple(schedule.resources), op_count=int(op_ids.shape[0]),
-        steps=(), rel_ids=op_ids - first_id, release_rows=(),
+        resource_names=tuple(schedule.resources), op_count=len(schedule._rows),
+        steps=(), release_rows=(),
     )
     return StackedSchedule(
         plan=plan, starts=schedule._starts[:, None], ends=schedule._ends[:, None],
-        first_ids=(first_id,), rows=schedule._rows,
+        rows=schedule._rows,
     )
 
 
@@ -314,20 +291,17 @@ def schedule_group(plan: ShapePlan, columns) -> StackedSchedule:
     count = len(columns)
     durations = np.empty((n, count), dtype=np.float64)
     lower_bounds = np.zeros((n, count), dtype=np.float64)
-    release_rel = [int(plan.rel_ids[row]) for row in plan.release_rows]
-    first_ids = []
     for index, column in enumerate(columns):
         if column.durations.shape != (n,):
             raise ConfigurationError(
                 f"scenario column {index} has {column.durations.shape[0]} ops, "
                 f"plan expects {n}; group batches by shape_key() before scheduling"
             )
-        first_ids.append(column.first_id)
         if n == 0:
             continue
         durations[:, index] = column.durations
-        for row, rel in zip(plan.release_rows, release_rel):
-            lower_bounds[row, index] = column.release_times[rel + column.first_id]
+        for row in plan.release_rows:
+            lower_bounds[row, index] = column.release_times[row]
 
     starts = np.empty((n, count), dtype=np.float64)
     ends = np.empty((n, count), dtype=np.float64)
@@ -342,6 +316,4 @@ def schedule_group(plan: ShapePlan, columns) -> StackedSchedule:
             bound = lower_bounds[target]
             np.maximum(bound, end, out=bound)
 
-    return StackedSchedule(
-        plan=plan, starts=starts, ends=ends, first_ids=tuple(first_ids)
-    )
+    return StackedSchedule(plan=plan, starts=starts, ends=ends)

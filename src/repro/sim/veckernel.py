@@ -8,12 +8,12 @@ fig14/fig16 sweep experiments).  This module replaces that event loop with a
 kernel over the :class:`~repro.sim.opbatch.OpBatch` row layout organised as
 struct-of-arrays:
 
-* **columns, not objects** — durations, release times, resource codes and op
-  ids are extracted column-wise (one ``zip(*rows)`` instead of per-op object
-  construction); dependency ids are resolved to row indices in one vectorised
-  ``np.searchsorted``, classified in bulk, and compiled into a CSR successor
-  graph plus a per-op *pending* count of unfinished cross-resource
-  dependencies;
+* **columns, not objects** — durations, release times and resource codes are
+  extracted column-wise (one ``map`` per column instead of per-op object
+  construction); dependencies already name rows (an op's id *is* its row
+  index, see :mod:`repro.sim.opbatch`), so they are range-checked, classified
+  in bulk and compiled into a CSR successor graph plus a per-op *pending*
+  count of unfinished cross-resource dependencies — no id-to-row translation;
 * **cursor walks, not heap pops** — every resource executes its queue in FIFO
   order, so the kernel keeps one cursor per resource and, per visit, walks the
   longest *run* of consecutive ready operations (``pending == 0``), finalising
@@ -22,8 +22,8 @@ struct-of-arrays:
   in flat preallocated arrays indexed by row — no hashing, no heap, no
   allocation in the loop;
 * **vectorised ordering** — the finished schedule is ordered by
-  ``(start, op id)`` with one ``np.lexsort`` instead of a Timsort over a
-  million-tuple list, and comes back as a lazy
+  ``(start, op id)`` — i.e. ``(start, row)`` — with one stable ``np.argsort``
+  instead of a Timsort over a million-tuple list, and comes back as a lazy
   :class:`~repro.sim.engine.VectorSchedule` whose per-op objects materialise
   only when a query actually touches them.
 
@@ -72,18 +72,16 @@ def require_numpy() -> None:
 def _compile(rows, release_times, resource_names):
     """Compile rows into the kernel's struct-of-arrays form (all bulk numpy).
 
-    Returns ``(queues, pending, lb, succ_ptr, succ_tgt, durations, op_ids)``:
+    Returns ``(queues, pending, lb, succ_ptr, succ_tgt, durations)``:
     per-resource FIFO queues of row indices, the pending cross-resource
     dependency count and start-lower-bound columns, the CSR successor graph,
-    and the duration / op-id columns.
+    and the duration column.
     """
     n = len(rows)
     # Column extraction: only the scheduling columns, never whole rows — names,
     # kinds, phases and payloads stay untouched until lazy materialisation.
     durations = list(map(itemgetter(3), rows))
     deps_col = list(map(itemgetter(4), rows))
-    id_col = list(map(itemgetter(9), rows))
-    op_ids = np.asarray(id_col, dtype=np.int64)
 
     code_of = {name: code for code, name in enumerate(resource_names)}
     try:
@@ -110,40 +108,28 @@ def _compile(rows, release_times, resource_names):
 
     # Start lower bounds: the release time, raised later by dependency ends.
     lb = [0.0] * n
-    if release_times:
-        by_id = {op_id: index for index, op_id in enumerate(id_col)}
-        for op_id, release in release_times.items():
-            index = by_id.get(op_id)
-            if index is not None:
-                lb[index] = release
+    for index, release in release_times.items():
+        if 0 <= index < n:
+            lb[index] = release
 
-    # Resolve dependency op-ids to row indices in bulk.  Unknown ids keep an
-    # op pending forever, surfacing as the same deadlock the heap reports.
+    # Dependencies are row indices already.  An out-of-range one names no op
+    # and keeps its dependant pending forever, surfacing as the same deadlock
+    # the heap reports.
     dep_counts = np.fromiter(map(len, deps_col), dtype=np.int64, count=n)
     flat_deps = np.asarray(
         [dep for deps in deps_col for dep in deps], dtype=np.int64
     )
     if flat_deps.size:
-        first_id = id_col[0]
-        if n == op_ids[-1] - first_id + 1 and bool((np.diff(op_ids) > 0).all()):
-            # Consecutive ids (a batch built by one uninterrupted draw from the
-            # global counter — every builder batch): dep row = dep id - first id.
-            dep_rows = np.clip(flat_deps - first_id, 0, n - 1)
-        else:
-            id_order = np.argsort(op_ids, kind="stable")
-            pos = np.minimum(
-                np.searchsorted(op_ids, flat_deps, sorter=id_order), n - 1
-            )
-            dep_rows = id_order[pos]
-        known = op_ids[dep_rows] == flat_deps
+        known = (flat_deps >= 0) & (flat_deps < n)
+        dep_rows = np.where(known, flat_deps, 0)
         dst = np.repeat(np.arange(n, dtype=np.int64), dep_counts)
         # A dependency on an earlier op of the same resource is enforced by
         # FIFO order already; dropping it leaves the max() chain unchanged.
         redundant = known & (res_code[dep_rows] == res_code[dst]) & (dep_rows < dst)
         ext = ~redundant
         pending = np.bincount(dst[ext], minlength=n).tolist()
-        # CSR successor graph over the known external edges (unknown ids have
-        # no source row that could ever finalise them).
+        # CSR successor graph over the known external edges (unknown rows
+        # have no source that could ever finalise them).
         live = ext & known
         src, tgt = dep_rows[live], dst[live]
         src_order = np.argsort(src, kind="stable")
@@ -156,25 +142,25 @@ def _compile(rows, release_times, resource_names):
         succ_tgt = []
         succ_ptr = [0] * (n + 1)
 
-    return queues, pending, lb, succ_ptr, succ_tgt, durations, op_ids
+    return queues, pending, lb, succ_ptr, succ_tgt, durations
 
 
 def schedule_rows(
     rows: list[tuple],
     release_times: dict[int, float],
     resource_names: list[str],
-) -> tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
+) -> tuple["np.ndarray", "np.ndarray"]:
     """Schedule op-batch rows on the vector kernel.
 
-    Returns ``(starts, ends, op_ids)``: per-row float64 start/end columns plus
-    the op-id column (the key material for the schedule's ``(start, op_id)``
-    ordering, which :class:`~repro.sim.engine.VectorSchedule` computes lazily
-    via :func:`schedule_order`).  Raises the same :class:`ConfigurationError` /
+    Returns ``(starts, ends)``: per-row float64 start/end columns (the
+    schedule's ``(start, row)`` ordering is computed lazily by
+    :class:`~repro.sim.engine.VectorSchedule` via :func:`schedule_order`).
+    Raises the same :class:`ConfigurationError` /
     :class:`SimulationError` conditions as the heap paths (unknown resources,
     FIFO/dependency deadlocks).
     """
     require_numpy()
-    queues, pending, lb, succ_ptr, succ_tgt, durations, op_ids = _compile(
+    queues, pending, lb, succ_ptr, succ_tgt, durations = _compile(
         rows, release_times, resource_names
     )
     n = len(rows)
@@ -231,14 +217,15 @@ def schedule_rows(
 
     start_column = np.asarray(starts, dtype=np.float64)
     end_column = np.asarray(ends, dtype=np.float64)
-    return start_column, end_column, op_ids
+    return start_column, end_column
 
 
-def schedule_order(starts: "np.ndarray", op_ids: "np.ndarray") -> "np.ndarray":
-    """Row order of the finished schedule: ``(start, op_id)``, one lexsort.
+def schedule_order(starts: "np.ndarray") -> "np.ndarray":
+    """Row order of the finished schedule: ``(start, op id)``, one stable sort.
 
-    Bit-for-bit the order ``Schedule.ops`` carries on the heap paths: float
-    ties (including ``0.0`` vs ``-0.0``) are broken by the unique op id, so the
-    sort never has to compare equal keys.
+    Bit-for-bit the order ``Schedule.ops`` carries on the heap paths: an op's
+    id is its row index, so a stable sort on start times breaks float ties
+    (including ``0.0`` vs ``-0.0``) by id exactly as the heap's
+    ``(start, op_id)`` key does.
     """
-    return np.lexsort((op_ids, starts))
+    return np.argsort(starts, kind="stable")

@@ -43,10 +43,8 @@ from repro.sweep.cache import CACHE_VERSION, cache_stats, evict_cache
 from repro.sweep.result import SweepRecord, SweepResult
 from repro.sweep.runner import (
     SweepRunner,
-    configure_defaults,
     default_cache_dir,
     default_jobs,
-    reset_defaults,
     run_sweep,
 )
 from repro.sweep.spec import Scenario, SweepSpec
@@ -58,8 +56,6 @@ __all__ = [
     "SweepRecord",
     "SweepResult",
     "run_sweep",
-    "configure_defaults",
-    "reset_defaults",
     "default_jobs",
     "default_cache_dir",
     "CACHE_VERSION",

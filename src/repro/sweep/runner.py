@@ -77,7 +77,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 from repro.common.errors import ConfigurationError
 from repro.dispatch import Task, create_executor, select_backend, worker_spec
 from repro.obs.trace import maybe_span, tracing_enabled
-from repro.runtime import ExecutionPolicy, set_global_defaults, clear_global_defaults
+from repro.runtime import ExecutionPolicy
 from repro.sweep.batching import is_batchable, run_scenario_group
 from repro.sweep.cache import CACHE_VERSION, record_entries
 from repro.sweep.result import SweepRecord, SweepResult
@@ -90,27 +90,6 @@ CACHE_WORKER_ID = "cache"
 
 #: Manifest records buffered before a merge-and-rewrite of manifest.json.
 _MANIFEST_FLUSH_EVERY = 32
-
-
-def configure_defaults(
-    *,
-    jobs: int | None = None,
-    use_cache: bool | None = None,
-    cache_dir: str | Path | None = None,
-) -> None:
-    """Set session-wide execution-policy defaults (None leaves a setting unchanged).
-
-    Compatibility shim over :func:`repro.runtime.set_global_defaults`: the
-    values land at the bottom of the resolution order's *context* level, so
-    any active ``repro.configure(...)`` context or explicit argument still
-    wins.  Prefer ``repro.configure`` for new code — it is scoped.
-    """
-    set_global_defaults(jobs=jobs, use_cache=use_cache, cache_dir=cache_dir)
-
-
-def reset_defaults() -> None:
-    """Clear every default installed by :func:`configure_defaults` (used by tests)."""
-    clear_global_defaults()
 
 
 def default_jobs() -> int:

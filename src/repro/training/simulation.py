@@ -43,7 +43,7 @@ from repro.middleware import build_chain, effective_middleware_specs
 from repro.precision.dtypes import DType
 from repro.sim.engine import Schedule, SimEngine, standard_resources
 from repro.sim.opbatch import OpBatch
-from repro.sim.ops import OpKind, SimOp, next_op_id
+from repro.sim.ops import OpKind, SimOp
 from repro.sim.trace import MemoryTimeline, ThroughputTimeline
 from repro.runtime import SIMULATION_FIELDS, ExecutionPolicy, ResolvedExecution
 from repro.training.config import ResolvedJob
@@ -297,9 +297,10 @@ def build_iteration_rows(
     """Row-emitting twin of :func:`build_iteration` for the array-batched backend.
 
     Appends the iteration's operations to ``batch`` as row tuples — same names,
-    kinds, durations, dependency tuples and id allocation order as the eager
-    builder, with no per-op ``SimOp`` construction or per-subgroup strategy-call
-    overhead.  The emitted stream must stay bit-identical to the eager one; the
+    kinds, durations, dependency tuples and op order as the eager builder, with
+    no per-op ``SimOp`` construction or per-subgroup strategy-call overhead.
+    Each op's id is the index of its row (``len(rows)`` just before the
+    append).  The emitted stream must stay bit-identical to the eager one; the
     golden tests compare the two schedules field by field.
     """
     record = IterationOps(index=iteration_index)
@@ -310,23 +311,23 @@ def build_iteration_rows(
     footprint = job.footprint
     n_forward_chunks = min(job.config.forward_chunks, model.num_layers)
     activation_per_chunk = footprint.activation_bytes // n_forward_chunks
-    rows_append = batch.rows.append
-    new_id = next_op_id
+    rows = batch.rows
+    rows_append = rows.append
 
     # ------------------------------------------------------------------ forward
     gather_duration = gather_time / n_forward_chunks
     forward_duration = forward_time / n_forward_chunks
     previous_compute: int | None = None
     for chunk in range(n_forward_chunks):
-        gather_id = new_id()
+        gather_id = len(rows)
         rows_append((f"it{iteration_index}.fwd_allgather[{chunk}]", OpKind.ALLGATHER,
                      "nvlink", gather_duration, start_deps if chunk == 0 else (),
-                     "forward", None, 0, 0, gather_id))
-        compute_id = new_id()
+                     "forward", None, 0, 0))
+        compute_id = len(rows)
         compute_deps = (gather_id,) + start_deps if chunk == 0 else (gather_id,)
         rows_append((f"it{iteration_index}.fwd_compute[{chunk}]", OpKind.GPU_COMPUTE,
                      "gpu.compute", forward_duration, compute_deps, "forward", None,
-                     0, activation_per_chunk, compute_id))
+                     0, activation_per_chunk))
         record.forward_ops.extend([gather_id, compute_id])
         record.forward_compute_ops.append(compute_id)
         previous_compute = compute_id
@@ -358,18 +359,18 @@ def build_iteration_rows(
             compute_deps = (blocking_tail,)
         else:
             compute_deps = ()
-        compute_id = new_id()
+        compute_id = len(rows)
         rows_append((f"it{iteration_index}.bwd_compute[{subgroup_index}]",
                      OpKind.GPU_COMPUTE, "gpu.compute", backward_duration,
                      compute_deps, "backward", subgroup_index, 0,
-                     -activation_free_per_chunk + params * fp16, compute_id))
+                     -activation_free_per_chunk + params * fp16))
         backward_append(compute_id)
         previous_compute = compute_id
 
-        reduce_id = new_id()
+        reduce_id = len(rows)
         rows_append((f"it{iteration_index}.bwd_reduce_scatter[{subgroup_index}]",
                      OpKind.REDUCE_SCATTER, "nvlink", reduce_duration,
-                     (compute_id,), "backward", subgroup_index, 0, 0, reduce_id))
+                     (compute_id,), "backward", subgroup_index, 0, 0))
 
         grad_ready, blocking = emit_flush(flush, subgroup_index, params, reduce_id)
         grad_ready_deps[subgroup_index] = grad_ready
@@ -533,9 +534,9 @@ class BreakdownIndexPlan:
     """Row indices feeding one iteration's breakdown, shared across a shape group.
 
     Valid for every scenario whose batch matches the plan's
-    :class:`~repro.sim.shapebatch.ShapeKey` — key-matched batches share their
-    relative id layout, so the row indices derived from one representative's
-    bookkeeping apply to all columns of the stacked schedule.
+    :class:`~repro.sim.shapebatch.ShapeKey`: op ids are row indices, so the
+    ids in one representative's bookkeeping index every column of the stacked
+    schedule directly.
     """
 
     start_rows: "np.ndarray"
@@ -544,45 +545,19 @@ class BreakdownIndexPlan:
     ready_rows: "np.ndarray"
 
 
-def breakdown_index_plans(
-    records: list[IterationOps],
-    first_id: int,
-    rel_ids,
-) -> list[BreakdownIndexPlan]:
-    """Translate per-iteration op-id bookkeeping into stacked row indices.
-
-    ``first_id`` and ``rel_ids`` come from the representative scenario's batch
-    and its :class:`~repro.sim.shapebatch.ShapePlan` (``rel_ids[row]`` is the
-    row's op id minus ``first_id``).
-    """
-    rel_list = rel_ids.tolist() if hasattr(rel_ids, "tolist") else list(rel_ids)
-    if rel_list == list(range(len(rel_list))):
-        def row_of(op_id: int) -> int:
-            return op_id - first_id
-    else:
-        lookup = {rel: row for row, rel in enumerate(rel_list)}
-
-        def row_of(op_id: int) -> int:
-            return lookup[op_id - first_id]
-
+def breakdown_index_plans(records: list[IterationOps]) -> list[BreakdownIndexPlan]:
+    """Gather the per-iteration op-id bookkeeping as stacked row-index arrays."""
     plans: list[BreakdownIndexPlan] = []
     for record in records:
-        backward = [row_of(op_id) for op_id in record.backward_compute_ops]
+        backward = list(record.backward_compute_ops)
         if record.blocks_backward and record.flush.op_ids:
-            backward.extend(row_of(op_id) for op_id in record.flush.op_ids)
+            backward.extend(record.flush.op_ids)
         plans.append(
             BreakdownIndexPlan(
-                start_rows=np.asarray(
-                    [row_of(op_id) for op_id in record.forward_ops], dtype=np.intp
-                ),
-                forward_rows=np.asarray(
-                    [row_of(op_id) for op_id in record.forward_compute_ops], dtype=np.intp
-                ),
+                start_rows=np.asarray(record.forward_ops, dtype=np.intp),
+                forward_rows=np.asarray(record.forward_compute_ops, dtype=np.intp),
                 backward_rows=np.asarray(backward, dtype=np.intp),
-                ready_rows=np.asarray(
-                    [row_of(op_id) for op_id in record.update.params_ready_ops],
-                    dtype=np.intp,
-                ),
+                ready_rows=np.asarray(record.update.params_ready_ops, dtype=np.intp),
             )
         )
     return plans

@@ -93,6 +93,26 @@ def test_undecodable_payloads_raise_framing_errors():
         framing.decode_payload(framing.CODEC_PICKLE, b"not a pickle")
 
 
+def test_read_frame_refuses_a_codec_outside_its_allowlist_at_the_header():
+    """A refused codec fails on the header alone: the payload is never read
+    (here it never even arrives, and no "mid-frame" error surfaces)."""
+    import asyncio
+
+    async def read(data: bytes, codecs):
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        return await framing.read_frame(reader, codecs=codecs)
+
+    pickle_frame = framing.encode_frame({"x": 1}, framing.CODEC_PICKLE)
+    with pytest.raises(framing.FramingError, match="not accepted"):
+        asyncio.run(read(pickle_frame[:5], (framing.CODEC_JSON,)))
+    json_frame = framing.encode_frame({"x": 1})
+    assert asyncio.run(read(json_frame, (framing.CODEC_JSON,))) == {"x": 1}
+    # The default allowlist (the cluster wire) still reads both codecs.
+    assert asyncio.run(read(pickle_frame, framing.ALL_CODECS)) == {"x": 1}
+
+
 # --------------------------------------------------------------- worker specs
 
 

@@ -11,6 +11,11 @@ Every randomized DAG is scheduled four ways and all results must agree with
 * the **vector** kernel (:meth:`SimEngine.run_vector`, the numpy
   struct-of-arrays backend of :mod:`repro.sim.veckernel`).
 
+A batch op's id is its row index, so the two batch legs see the DAG relabelled
+to rows and their results are mapped back to the original ids before the
+comparison; the eager leg and the reference keep the original ids, which may
+have gaps or disagree with submission order.
+
 The DAG generator deliberately covers the shapes that stress scheduler corner
 cases: zero-duration operations (ties on the ready heap), ``not_before`` release
 times, diamond and fan-in dependency patterns (including duplicate dependency
@@ -29,8 +34,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import SimEngine
-from repro.sim.opbatch import OpBatch, row_from_simop
-from repro.sim.ops import OpKind, SimOp, next_op_id
+from repro.sim.opbatch import OpBatch
+from repro.sim.ops import OpKind, SimOp
 from repro.training.simulation import simulate_job
 
 RESOURCES = ("cpu", "gpu", "link", "pcie.h2d", "pcie.d2h")
@@ -87,13 +92,29 @@ def _seed_list_scheduler(
 
 
 def _as_batch(submissions: list[SimOp], release_times: dict[int, float]) -> OpBatch:
-    """The same operations as op-batch rows (same ids, same order)."""
+    """The same operations as op-batch rows, ids relabelled to row indices."""
+    row_of = {op.op_id: row for row, op in enumerate(submissions)}
     batch = OpBatch()
-    batch.rows.extend(row_from_simop(op) for op in submissions)
-    batch.release_times = {
-        op_id: release for op_id, release in release_times.items() if release > 0
-    }
+    for op in submissions:
+        batch.add_op(
+            op.name, op.kind, op.resource, op.duration,
+            tuple(row_of[dep] for dep in op.deps),
+            op.phase, op.subgroup, op.payload_bytes, op.gpu_mem_delta,
+            not_before=release_times.get(op.op_id, 0.0),
+        )
     return batch
+
+
+def _original_ids(schedule, submissions: list[SimOp]) -> list[tuple[int, float, float]]:
+    """A batch leg's triples under the submissions' own ids, in ``(start, id)`` order.
+
+    Row order and id order agree whenever ids grow with submission order (the
+    common case), and the sort is then a no-op; for shuffled ids it restores
+    the order the eager leg and the reference use.
+    """
+    triples = [(submissions[item.op.op_id].op_id, item.start, item.end)
+               for item in schedule.ops]
+    return sorted(triples, key=lambda triple: (triple[1], triple[0]))
 
 
 def _engine(resources: tuple[str, ...] = RESOURCES) -> SimEngine:
@@ -121,10 +142,8 @@ def assert_all_schedulers_agree(
     heap_eager = [(i.op.op_id, i.start, i.end) for i in eager.run().ops]
 
     batch = _as_batch(submissions, release_times)
-    heap_batch = [(i.op.op_id, i.start, i.end)
-                  for i in _engine(resources).run_batch(batch, validate=True).ops]
-    vector = [(i.op.op_id, i.start, i.end)
-              for i in _engine(resources).run_vector(batch, validate=True).ops]
+    heap_batch = _original_ids(_engine(resources).run_batch(batch, validate=True), submissions)
+    vector = _original_ids(_engine(resources).run_vector(batch, validate=True), submissions)
 
     reference = [(i.op_id, i.start, i.end)
                  for i in _seed_list_scheduler(resources, submissions, release_times)]
@@ -255,11 +274,10 @@ def test_schedulers_match_on_cross_resource_chain():
 def test_schedulers_match_on_gapped_and_shuffled_op_ids():
     """Non-consecutive, non-monotonic op ids schedule identically everywhere.
 
-    Builder batches draw consecutive ids, which the vector kernel detects and
-    resolves with an offset; this case forces its general ``searchsorted``
-    dependency-resolution path instead: ids have gaps (ops created and
-    discarded between rows) and the submission order does not follow id order
-    (ops created out of order, then submitted interleaved).
+    The eager heap path and the reference take the ids as they are: they have
+    gaps (ops created and discarded between rows) and the submission order
+    does not follow id order (ops created out of order, then submitted
+    interleaved).  The batch legs see the same DAG by row index.
     """
     SimOp("burn0", OpKind.GPU_COMPUTE, "gpu", 1.0)  # id gap before the DAG
     late = SimOp("late", OpKind.GPU_COMPUTE, "gpu", 1.5)
@@ -282,17 +300,17 @@ def test_schedulers_match_on_gapped_and_shuffled_op_ids():
 def test_schedulers_match_with_shuffled_id_allocation(case, data):
     """Randomized DAGs whose id allocation order differs from submission order.
 
-    Ids are drawn in a permuted order (with gaps burned in between), so the
-    vector kernel's consecutive-id shortcut cannot apply and the general
-    ``searchsorted`` dependency-resolution path is exercised on every example.
+    Ids are assigned in a permuted order (with gaps skipped in between), so
+    the eager heap path and the reference see arbitrary ids on every example
+    while the batch legs see the same DAG by row index.
     """
     submissions, release_times, resources = case
     order = data.draw(st.permutations(range(len(submissions))))
     new_ids: dict[int, int] = {}
+    next_id = 0
     for index in order:
-        if data.draw(st.booleans()):
-            next_op_id()  # burn an id: gaps as well as shuffled allocation
-        new_ids[index] = next_op_id()
+        next_id += 1 + data.draw(st.integers(0, 1))  # gaps as well as shuffling
+        new_ids[index] = next_id
     id_map = {submissions[i].op_id: new_ids[i] for i in range(len(submissions))}
     rebuilt = [
         SimOp(name=op.name, kind=op.kind, resource=op.resource, duration=op.duration,
@@ -398,13 +416,7 @@ def test_schedulers_match_on_lowered_pipeline_schedules():
         schedule = build_schedule(name, stages=3, microbatches=4, timing=timing)
         lowered = lower_schedule(schedule, timing)
         resources = tuple(pipeline_resource_names(3))
-        submissions = [
-            SimOp(name=row[0], kind=row[1], resource=row[2], duration=row[3],
-                  deps=row[4], phase=row[5], subgroup=row[6],
-                  payload_bytes=row[7], gpu_mem_delta=row[8], op_id=row[9])
-            for row in lowered.batch.rows
-        ]
-        assert_all_schedulers_agree(submissions, {}, resources)
+        assert_all_schedulers_agree(lowered.batch.expand(), {}, resources)
 
 
 # --------------------------------------------------- policy resolution paths

@@ -206,15 +206,25 @@ def test_experiment_result_formatting():
 
 def test_paper_evaluation_and_serve_simulate_never_touch_the_heap_or_eager_paths(monkeypatch):
     """The heap engine and the eager ``SimOp`` builders survive only as test
-    oracles: the whole evaluation and a serve ``simulate`` run without them."""
+    oracles: the whole evaluation and a serve ``simulate`` run without them,
+    and without drawing a single id from ``SimOp``'s default-id counter (op
+    ids are row indices)."""
     from repro.serve import ServeClient, ServerThread
+    from repro.sim import ops
     from repro.sim.engine import SimEngine
 
     def forbidden(*args, **kwargs):
         raise AssertionError("production code reached a test-oracle path")
 
+    class NoDefaultIds:
+        def __next__(self):
+            raise AssertionError("production code drew a SimOp default id")
+
     for name in ("run", "run_batch", "submit"):
         monkeypatch.setattr(SimEngine, name, forbidden)
+    monkeypatch.setattr(ops, "_op_counter", NoDefaultIds())
+    with pytest.raises(AssertionError, match="default id"):
+        ops.SimOp("probe", ops.OpKind.CPU_UPDATE, "cpu", 1.0)  # the guard bites
     for experiment_id in sorted(EXPERIMENT_MODULES):
         assert run_experiment(experiment_id).format()
     with ServerThread() as running, ServeClient(running.address) as client:

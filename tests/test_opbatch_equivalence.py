@@ -8,7 +8,8 @@ Two layers of guarantees:
 * **simulation layer** — ``simulate_job`` (row builders on the vector kernel)
   must match the eager ``SimOp`` builders scheduled on the heap engine bit for
   bit, for every offloading strategy, including all the per-iteration
-  bookkeeping the metrics are derived from.
+  bookkeeping the metrics are derived from.  Row ids are row indices; the
+  eager builders match them after :func:`~repro.sim.ops.reset_op_counter`.
 
 Exact float equality is intentional: both paths must compute start times through
 identical ``max()`` chains, not merely close ones.
@@ -107,7 +108,7 @@ def test_run_batch_rejects_unknown_resource_and_negative_duration():
         _engine().run_batch(batch)
 
     bad = OpBatch()
-    bad.rows.append(("neg", OpKind.CPU_UPDATE, "cpu", -1.0, (), "", None, 0, 0, 1))
+    bad.rows.append(("neg", OpKind.CPU_UPDATE, "cpu", -1.0, (), "", None, 0, 0))
     with pytest.raises(ConfigurationError):
         _engine().run_batch(bad)
 
@@ -143,8 +144,10 @@ def test_opbatch_expand_and_columns_round_trip():
         batch.column("no-such-field")
     with pytest.raises(ConfigurationError):
         batch.add_op("c", OpKind.CPU_UPDATE, "cpu", 1.0, not_before=-1.0)
-    # Row layout is the SimOp field order (the expand() contract).
-    assert ROW_FIELDS == tuple(ops[0].__dict__.keys())
+    # Row layout is the SimOp field order minus the id, which is the row index
+    # (the expand() contract).
+    assert ROW_FIELDS + ("op_id",) == tuple(ops[0].__dict__.keys())
+    assert [op.op_id for op in ops] == [0, 1]
 
 
 # ------------------------------------------------------------------ simulation layer
@@ -224,6 +227,26 @@ def test_simulate_job_backends_identical_at_10k_subgroups():
     ).resolve()
     assert job.num_subgroups >= 10_000
     _assert_simulations_identical(job, iterations=1)
+
+
+def test_op_ids_do_not_depend_on_process_history():
+    """The same job simulated twice, around an unrelated simulation and eager
+    ``SimOp`` construction, yields the same ids from 0 and the same export."""
+    from repro.obs.export import schedule_trace
+
+    job = TrainingJobConfig(model="7B", strategy="deep-optimizer-states",
+                            check_memory=False).resolve()
+    other = TrainingJobConfig(model="20B", strategy="zero3-offload",
+                              check_memory=False).resolve()
+    first = simulate_job(job, 2)
+    simulate_job(other, 1)
+    SimOp("unrelated", OpKind.CPU_UPDATE, "cpu", 1.0)
+    second = simulate_job(job, 2)
+
+    ids = [item.op.op_id for item in first.schedule.ops]
+    assert sorted(ids) == list(range(len(ids)))
+    assert [item.op.op_id for item in second.schedule.ops] == ids
+    assert schedule_trace(second.schedule) == schedule_trace(first.schedule)
 
 
 def test_strategies_without_row_builders_are_rejected():

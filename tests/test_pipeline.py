@@ -243,8 +243,9 @@ def test_lowering_emits_expected_rows_and_deps():
                             comm_seconds=0.25, comm_bytes=1 << 20)
     schedule = build_schedule("zb", stages=3, microbatches=2, timing=timing)
     lowered = lower_schedule(schedule, timing)
-    by_id = {row[9]: row for row in lowered.batch.rows}
-    assert len(by_id) == lowered.op_count  # ids unique
+    by_id = dict(enumerate(lowered.batch.rows))  # an op's id is its row
+    # Every node owns exactly one row: ids unique and dense.
+    assert sorted(lowered.node_ids.values()) == list(range(lowered.op_count))
     durations = {"F": 1.0, "B": 1.5, "W": 0.5}
     for row in lowered.batch.rows:
         name, kind, resource, duration, deps, phase = row[:6]

@@ -198,6 +198,34 @@ def test_unknown_fields_are_rejected_everywhere():
         ExecutionPolicy.resolve(warp_speed=9)
 
 
+def test_context_level_is_the_configure_stack_alone():
+    """No process-global default sits under the ``configure()`` stack (the
+    ``repro.sweep.configure_defaults`` shim and its overlay are gone), so a
+    context entered on one thread never reaches another thread's resolution."""
+    import threading
+
+    import repro.runtime
+    import repro.sweep
+
+    assert not hasattr(repro.sweep, "configure_defaults")
+    assert not hasattr(repro.runtime, "set_global_defaults")
+    inside = threading.Event()
+    seen = []
+
+    def resolve_elsewhere():
+        inside.wait(10)
+        policy = ExecutionPolicy.resolve(env_fields=())
+        seen.append((policy.jobs, policy.sources["jobs"]))
+
+    thread = threading.Thread(target=resolve_elsewhere)
+    thread.start()
+    with configure(jobs=7):
+        assert ExecutionPolicy.resolve(env_fields=()).jobs == 7
+        inside.set()
+        thread.join(10)
+    assert seen == [(1, "default")]
+
+
 REMOVED_FIELDS = {
     "op_backend": ("objects", "REPRO_SIM_OP_BACKEND"),
     "scheduler": ("vector", "REPRO_SIM_SCHEDULER"),

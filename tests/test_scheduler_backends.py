@@ -6,7 +6,8 @@ harness, ``tests/test_engine_equivalence.py``):
 
 * the scheduler is no longer a policy field, runner keyword or CLI flag — every
   such spelling is rejected — and its environment variable is ignored;
-* the vector kernel fed by the eager ``SimOp`` builders matches the heap oracle;
+* the vector kernel fed by the row builders matches the heap oracle fed by the
+  eager ``SimOp`` builders, and ``run_vector`` takes a batch only;
 * the :class:`~repro.sim.engine.VectorSchedule` surface: lazy materialisation,
   array-backed ``makespan``, inherited queries, validation;
 * sweeps, serial and pooled, simulate on the vector kernel and still ship the
@@ -23,9 +24,9 @@ from repro.runtime import ExecutionPolicy
 from repro.sim.engine import SimEngine, VectorSchedule, standard_resources
 from repro.sim.opbatch import OpBatch
 from repro.sim.ops import OpKind, SimOp, reset_op_counter
-from repro.sweep import SweepRunner, SweepSpec, configure_defaults, reset_defaults
+from repro.sweep import SweepRunner, SweepSpec
 from repro.training.config import TrainingJobConfig
-from repro.training.simulation import build_iteration, simulate_job
+from repro.training.simulation import build_iteration, prepare_simulation, simulate_job
 
 
 @pytest.fixture(scope="module")
@@ -51,31 +52,29 @@ def test_policy_rejects_unknown_scheduler_backend():
 def test_simulate_job_ignores_the_removed_scheduler_env_var(job, monkeypatch):
     # $REPRO_SIM_SCHEDULER is no longer read: garbage in it neither raises nor
     # moves simulate_job off the vector kernel or changes its schedule.
-    reset_op_counter()
     clean = simulate_job(job, 1)
     monkeypatch.setenv("REPRO_SIM_SCHEDULER", "quantum")
-    reset_op_counter()
     dirty = simulate_job(job, 1)
     assert dirty.resolved_policy.scheduler == "vector"
     assert _schedule_tuples(dirty.schedule) == _schedule_tuples(clean.schedule)
 
 
-# ---------------------------------------------------- eager admission parity
+# ------------------------------------------------------ builder-pair parity
 
 
-def test_vector_scheduler_with_objects_op_backend(job):
-    """Eager ``SimOp`` submissions schedule identically on the kernel and the heap."""
-    engines = []
-    for _ in range(2):
-        reset_op_counter()
-        engine = SimEngine()
-        standard_resources(engine)
-        record = build_iteration(engine, job, 0)
-        build_iteration(engine, job, 1, tuple(record.update.params_ready_ops))
-        engines.append(engine)
-    heap, vector = engines[0].run(), engines[1].run_vector()
+def test_vector_kernel_on_row_builders_matches_heap_on_eager_builders(job):
+    """Two chained iterations: eager ``SimOp`` builders on the heap, row
+    builders on the kernel — same ids, names and floats."""
+    reset_op_counter()
+    eager = SimEngine()
+    standard_resources(eager)
+    record = build_iteration(eager, job, 0)
+    build_iteration(eager, job, 1, tuple(record.update.params_ready_ops))
+    engine = SimEngine()
+    standard_resources(engine)
+    vector = engine.run_vector(prepare_simulation(job, 2).batch)
     assert isinstance(vector, VectorSchedule)
-    assert _schedule_tuples(heap) == _schedule_tuples(vector)
+    assert _schedule_tuples(eager.run()) == _schedule_tuples(vector)
 
 
 # ----------------------------------------------------------- VectorSchedule
@@ -117,32 +116,38 @@ def test_vector_schedule_compares_equal_across_backends():
 def test_run_vector_empty_engine_returns_empty_schedule():
     engine = SimEngine()
     standard_resources(engine)
-    schedule = engine.run_vector()
+    schedule = engine.run_vector(OpBatch())
     assert schedule.ops == [] and schedule.makespan == 0.0
 
 
-def test_run_vector_is_single_shot_for_eager_submissions():
+def test_run_vector_requires_a_batch():
+    """Eager submissions (arbitrary ids) go to run(); the kernel takes rows."""
     engine = SimEngine()
     standard_resources(engine)
-    engine.submit(SimOp("only", OpKind.GPU_COMPUTE, "gpu.compute", 1.0))
-    assert len(engine.run_vector().ops) == 1
-    assert engine.run_vector().ops == []  # consumed, like run()
+    with pytest.raises(TypeError):
+        engine.run_vector()
 
 
 def test_run_vector_deadlock_preserves_submissions_like_run():
-    """A deadlock must not consume eager submissions — same contract as run()."""
+    """A deadlock leaves the submissions intact on both admission paths."""
     from repro.common.errors import SimulationError
 
     heap_engine = SimEngine()
+    standard_resources(heap_engine)
+    heap_engine.submit(SimOp("blocked", OpKind.GPU_COMPUTE, "gpu.compute", 1.0,
+                             deps=(10**9,)))
+    with pytest.raises(SimulationError):
+        heap_engine.run()
+    assert heap_engine.pending_ops == 1  # submissions survive the failed run
+
     vector_engine = SimEngine()
-    for engine in (heap_engine, vector_engine):
-        standard_resources(engine)
-        blocked = SimOp("blocked", OpKind.GPU_COMPUTE, "gpu.compute", 1.0,
-                        deps=(10**9,))
-        engine.submit(blocked)
-        with pytest.raises(SimulationError):
-            engine.run() if engine is heap_engine else engine.run_vector()
-        assert engine.pending_ops == 1  # submissions survive the failed run
+    standard_resources(vector_engine)
+    batch = OpBatch()
+    batch.add_op("blocked", OpKind.GPU_COMPUTE, "gpu.compute", 1.0, deps=(10**9,))
+    batch.add_op("free", OpKind.CPU_UPDATE, "cpu", 1.0)
+    with pytest.raises(SimulationError, match="blocked"):
+        vector_engine.run_vector(batch)
+    assert len(batch) == 2 and vector_engine.pending_ops == 0
 
 
 def test_run_vector_rejects_mixed_admission():
@@ -202,14 +207,6 @@ def test_sweep_shorthands_reject_the_removed_knobs(shorthand, knob):
     }
     with pytest.raises(TypeError, match=knob):
         calls[shorthand](**{knob: "vector"})
-
-
-def test_configure_defaults_rejects_unknown_scheduler():
-    try:
-        with pytest.raises(TypeError, match="scheduler"):
-            configure_defaults(scheduler="warp")
-    finally:
-        reset_defaults()
 
 
 def test_sweep_runner_policy_beats_worker_side_env(monkeypatch):

@@ -17,6 +17,7 @@ computation (the follower counter proves it), and the admission middleware
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -26,6 +27,7 @@ import pytest
 import dispatch_workers
 from repro.cli import main
 from repro.common.errors import ConfigurationError
+from repro.dispatch import framing
 from repro.middleware import reset_middleware_metrics
 from repro.middleware.builtin import ConcurrencyLimitError, QuotaExceededError
 from repro.runtime import ExecutionPolicy
@@ -195,6 +197,33 @@ def test_framed_client_round_trips_ping_health_and_errors():
             assert bad_policy.value.status == 400
             # The connection survives errors: the next request still works.
             assert client.request("ping") == {"pong": True}
+
+
+class _CreatesFile:
+    """Unpickling this object would create ``path`` (a code-execution probe)."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+def test_pickle_frames_are_refused_at_the_header_and_never_run(tmp_path):
+    marker = tmp_path / "unpickled"
+    frame = framing.encode_frame(_CreatesFile(str(marker)), framing.CODEC_PICKLE)
+    with ServerThread() as running:
+        with socket.create_connection(running.address, timeout=10) as sock:
+            sock.sendall(frame)
+            reply = framing.recv_message(sock)
+            assert reply["ok"] is False
+            assert reply["error"]["status"] == 400
+            assert reply["error"]["type"] == "FramingError"
+            with pytest.raises(framing.ConnectionClosed):
+                framing.recv_message(sock)  # refused, then closed
+        with ServeClient(running.address) as client:
+            assert client.request("ping") == {"pong": True}
+    assert not marker.exists()
 
 
 @pytest.mark.parametrize("field,value", [

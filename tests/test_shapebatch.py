@@ -5,8 +5,7 @@ Three layers of guarantees:
 * **key layer** — :func:`~repro.sim.shapebatch.shape_key` fingerprints exactly
   the scheduling topology: duration and release-time *value* changes never
   change a key; resource, dependency-edge or release-*structure* changes
-  always do; drawing the same shape from a different stretch of the global op
-  id counter does not.
+  always do; building the same shape later in the process's life does not.
 * **kernel layer** — :func:`~repro.sim.shapebatch.schedule_group` over one
   compiled :func:`~repro.sim.shapebatch.compile_plan` must be byte-identical,
   scenario for scenario, to solo runs of both scheduler kernels (vector and
@@ -29,7 +28,7 @@ from repro.experiments.base import run_training
 from repro.runtime import ExecutionPolicy
 from repro.sim.engine import SimEngine
 from repro.sim.opbatch import OpBatch
-from repro.sim.ops import OpKind
+from repro.sim.ops import OpKind, SimOp
 from repro.sim.shapebatch import (
     ScenarioColumn,
     ShapeKey,
@@ -153,12 +152,15 @@ def test_resource_and_dependency_changes_change_the_key():
     assert shape_key(build("cpu", False)) != base
 
 
-def test_keys_are_invariant_to_the_global_id_offset():
+def test_keys_are_invariant_to_process_history():
     topology = random_topology(random.Random(11), 25)
     first = batch_from(topology, random.Random(0))
-    OpBatch().add_op("burn", OpKind.GPU_COMPUTE, "gpu", 1.0, ())  # shift the counter
+    # Unrelated op construction in between: another batch and an eager op.
+    OpBatch().add_op("other", OpKind.GPU_COMPUTE, "gpu", 1.0, ())
+    SimOp("eager", OpKind.GPU_COMPUTE, "gpu", 1.0)
     second = batch_from(topology, random.Random(0))
-    assert first.rows[0][9] != second.rows[0][9]
+    assert second.rows == first.rows
+    assert second.release_times == first.release_times
     assert shape_key(first) == shape_key(second)
 
 
@@ -207,8 +209,8 @@ def test_solo_stack_equals_a_one_scenario_stacked_pass(seed):
     batch = batch_from(random_topology(random.Random(seed), 60), random.Random(seed))
     solo = stack_solo(_engine().run_vector(batch))
     stacked = schedule_group(compile_plan(batch, RESOURCES), [scenario_column(batch)])
-    assert solo.num_scenarios == 1 and solo.first_ids == stacked.first_ids
-    assert solo.plan.rel_ids.tolist() == stacked.plan.rel_ids.tolist()
+    assert solo.num_scenarios == stacked.num_scenarios == 1
+    assert solo.plan.op_count == stacked.plan.op_count == len(batch)
     assert solo.starts.tobytes() == stacked.starts.tobytes()
     assert solo.ends.tobytes() == stacked.ends.tobytes()
     assert _triples(solo.schedule_for(0)) == _triples(_engine().run_batch(batch))
@@ -224,9 +226,9 @@ def test_stacked_columns_are_exact_per_scenario():
     for index, batch in enumerate(batches):
         solo = engine.run_vector(batch)
         starts, ends = stacked.columns_for(index)
-        for row_index, op_id in enumerate((plan.rel_ids + batch.rows[0][9]).tolist()):
-            assert starts[row_index] == solo.op_start(op_id)
-            assert ends[row_index] == solo.op_end(op_id)
+        for op_id in range(len(batch)):  # an op's id is its row
+            assert starts[op_id] == solo.op_start(op_id)
+            assert ends[op_id] == solo.op_end(op_id)
 
 
 def test_schedule_group_rejects_mismatched_columns():
@@ -258,8 +260,8 @@ def test_scenario_column_detaches_the_float_inputs():
     column = scenario_column(batch)
     assert isinstance(column, ScenarioColumn)
     assert column.durations.tolist() == [1.5, 2.5]
-    assert column.release_times == {first + 1: 0.75}
-    assert column.first_id == first
+    assert first == 0
+    assert column.release_times == {1: 0.75}
 
 
 # ------------------------------------------------------------ sweep equality
