@@ -144,6 +144,16 @@ class OffloadStrategy(abc.ABC):
         """True when the strategy provides the row-emitting builder twins."""
         return False
 
+    def template_key(self) -> tuple:
+        """What, besides the update plan, fixes the rows the twins emit.
+
+        Part of :func:`repro.training.simulation.topology_key`: scenarios
+        whose keys match share one built batch as their row template, so a
+        strategy option that changes an emitted row's topology or duration
+        slots must appear here.
+        """
+        return (self.name,)
+
     def flush_row_builder(self, batch, profile: ThroughputProfile, plan: UpdatePlan):
         """Per-subgroup flush row emitter (see :mod:`repro.core.gradient_flush`)."""
         raise NotImplementedError(f"{self.name} does not support op batching")
@@ -260,6 +270,10 @@ class DeepOptimizerStates(OffloadStrategy):
 
     def supports_op_batch(self) -> bool:
         return True
+
+    def template_key(self) -> tuple:
+        # Flushed gradients are staged back with p/m/v: another numerator slot.
+        return (self.name, self.config.keep_gpu_scheduled_gradients_on_gpu)
 
     def flush_row_builder(self, batch, profile, plan):
         return make_overlapped_flush_rows(batch, profile, plan)

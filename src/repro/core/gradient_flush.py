@@ -23,12 +23,22 @@ constructing ``SimOp`` objects it appends row tuples to an
 operations (same names, durations and dependency tuples; each row's id is its
 index in the batch).  The golden tests in
 ``tests/test_opbatch_equivalence.py`` hold the two implementations together.
+Beside each row the twins record its duration's term slots
+(:mod:`repro.core.duration_terms`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.duration_terms import (
+    ALLOC_PPS,
+    GPU_CONVERT_PPS,
+    PINNED_D2H_PPS,
+    SCALAR_SLOTS,
+    UNPINNED_D2H_PPS,
+    UPSCALE_PPS,
+)
 from repro.core.scheduler import UpdatePlan, UpdateTarget
 from repro.hardware.throughput import ThroughputProfile
 from repro.precision.dtypes import DType
@@ -184,6 +194,7 @@ def make_baseline_flush_rows(
     """
     rows = batch.rows
     rows_append = rows.append
+    slots_append = batch.term_slots.append
     alloc_pps = profile.host_unpinned_alloc_pps
     d2h_pps = profile.unpinned_d2h_fp16_pps
     upscale_pps = profile.host_upscale_pps
@@ -193,16 +204,20 @@ def make_baseline_flush_rows(
         if index in skip_residents:
             flush.grad_ready_ops[index] = compute_dep
             return compute_dep, None
+        size = SCALAR_SLOTS + 3 * index
         alloc_id = len(rows)
         rows_append((f"host_alloc_grad[{index}]", OpKind.HOST_ALLOC, "cpu",
                      params / alloc_pps, (compute_dep,), phase, index, 0, 0))
+        slots_append((size, ALLOC_PPS))
         payload = params * fp16
         copy_id = len(rows)
         rows_append((f"d2h_grad_fp16[{index}]", OpKind.D2H, "pcie.d2h",
                      params / d2h_pps, (alloc_id,), phase, index, payload, -payload))
+        slots_append((size, UNPINNED_D2H_PPS))
         upscale_id = len(rows)
         rows_append((f"host_upscale_grad[{index}]", OpKind.CPU_UPSCALE, "cpu",
                      params / upscale_pps, (copy_id,), phase, index, 0, 0))
+        slots_append((size, UPSCALE_PPS))
         flush.grad_ready_ops[index] = upscale_id
         flush.blocking_ops[index] = upscale_id
         flush.op_ids.extend((alloc_id, copy_id, upscale_id))
@@ -228,6 +243,7 @@ def make_overlapped_flush_rows(
     """
     rows = batch.rows
     rows_append = rows.append
+    slots_append = batch.term_slots.append
     convert_pps = profile.gpu_convert_pps
     pinned_pps = profile.pinned_d2h_pps
     fp16 = DType.FP16.itemsize
@@ -239,9 +255,11 @@ def make_overlapped_flush_rows(
     )
 
     def emit(flush: GradientFlushOps, index: int, params: int, compute_dep: int):
+        size = SCALAR_SLOTS + 3 * index
         convert_id = len(rows)
         rows_append((f"gpu_upscale_grad[{index}]", OpKind.GPU_CONVERT, "gpu.compute",
                      params / convert_pps, (compute_dep,), phase, index, 0, 0))
+        slots_append((size, GPU_CONVERT_PPS))
         flush.op_ids.append(convert_id)
         if keep_on_gpu is not None and keep_on_gpu[index]:
             flush.grad_ready_ops[index] = convert_id
@@ -251,6 +269,7 @@ def make_overlapped_flush_rows(
         rows_append((f"d2h_grad_fp32_pinned[{index}]", OpKind.D2H, "pcie.d2h",
                      params / pinned_pps, (convert_id,), phase, index,
                      payload, -(params * fp16)))
+        slots_append((size, PINNED_D2H_PPS))
         flush.grad_ready_ops[index] = copy_id
         flush.op_ids.append(copy_id)
         flush.d2h_bytes += payload

@@ -22,6 +22,8 @@ row tuples to an :class:`~repro.sim.opbatch.OpBatch` instead of constructing
 operations in the same order (a row's id is its index in the batch; the eager ops
 match it when their default ids start from 0), which
 ``tests/test_opbatch_equivalence.py`` verifies end-to-end for every strategy.
+Beside each row the twins record its duration's term slots
+(:mod:`repro.core.duration_terms`).
 """
 
 from __future__ import annotations
@@ -29,6 +31,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.common.errors import ConfigurationError
+from repro.core.duration_terms import (
+    CONTENDED_CPU_UPDATE_PPS,
+    CONTENDED_PCIE_PPS,
+    CONTENDED_PCIE_PPS_X2,
+    CPU_DOWNSCALE_PPS,
+    CPU_UPDATE_PPS,
+    GPU_CONVERT_PPS,
+    GPU_UPDATE_PPS,
+    PCIE_PPS_X2,
+    SCALAR_SLOTS,
+    contended_rates,
+)
 from repro.core.scheduler import AssignmentReason, UpdatePlan
 from repro.hardware.contention import HostContentionModel
 from repro.hardware.throughput import ThroughputProfile
@@ -355,6 +369,7 @@ def build_blocking_offload_update_rows(
     ready_append = result.params_ready_ops.append
     rows = batch.rows
     rows_append = rows.append
+    slots_append = batch.term_slots.append
     gpu_update_pps = profile.gpu_update_pps
     gpu_convert_pps = profile.gpu_convert_pps
     cpu_update_pps = profile.cpu_update_pps
@@ -365,16 +380,19 @@ def build_blocking_offload_update_rows(
 
     for index in sorted(plan.static_residents):
         params = subgroup_params[index]
+        size = SCALAR_SLOTS + 3 * index
         deps = start_deps
         if index in grad_ready_ops:
             deps += (grad_ready_ops[index],)
         update_id = len(rows)
         rows_append((f"gpu_update[{index}]", OpKind.GPU_UPDATE, "gpu.compute",
                      params / gpu_update_pps, deps, phase, index, 0, 0))
+        slots_append((size, GPU_UPDATE_PPS))
         op_ids_append(update_id)
         convert_id = len(rows)
         rows_append((f"gpu_downscale[{index}]", OpKind.GPU_CONVERT, "gpu.compute",
                      params / gpu_convert_pps, (update_id,), phase, index, 0, 0))
+        slots_append((size, GPU_CONVERT_PPS))
         op_ids_append(convert_id)
         blocking_tail = convert_id
         ready_append(convert_id)
@@ -382,6 +400,7 @@ def build_blocking_offload_update_rows(
 
     for index in plan.cpu_indices():
         params = subgroup_params[index]
+        size = SCALAR_SLOTS + 3 * index
         deps = start_deps
         if blocking_tail is not None:
             deps += (blocking_tail,)
@@ -390,16 +409,19 @@ def build_blocking_offload_update_rows(
         update_id = len(rows)
         rows_append((f"cpu_update[{index}]", OpKind.CPU_UPDATE, "cpu",
                      params / cpu_update_pps, deps, phase, index, 0, 0))
+        slots_append((size, CPU_UPDATE_PPS))
         op_ids_append(update_id)
         downscale_id = len(rows)
         rows_append((f"cpu_downscale[{index}]", OpKind.CPU_DOWNSCALE, "cpu",
                      params / cpu_downscale_pps, (update_id,), phase, index, 0, 0))
+        slots_append((size, CPU_DOWNSCALE_PPS))
         op_ids_append(downscale_id)
         copy_id = len(rows)
         payload = params * FP16
         rows_append((f"h2d_params_fp16[{index}]", OpKind.H2D, "pcie.h2d",
                      params / (2.0 * pcie_pps), (downscale_id,), phase, index,
                      payload, 0))
+        slots_append((size, PCIE_PPS_X2))
         op_ids_append(copy_id)
         h2d_bytes += payload
         blocking_tail = copy_id
@@ -437,22 +459,18 @@ def build_interleaved_update_rows(
     ready_append = result.params_ready_ops.append
     rows = batch.rows
     rows_append = rows.append
+    slots_append = batch.term_slots.append
     gpu_update_pps = profile.gpu_update_pps
     gpu_convert_pps = profile.gpu_convert_pps
     cpu_downscale_pps = profile.cpu_downscale_pps
     h2d_bytes = 0
     d2h_bytes = 0
 
-    cpu_update_pps = profile.cpu_update_pps
-    pcie_pps = profile.pcie_pps
+    cpu_update_pps, pcie_pps = contended_rates(profile, plan, contention)
     dynamic_gpu = plan.dynamic_gpu_indices()
-    if contention is not None:
-        has_dynamic = bool(dynamic_gpu)
-        cpu_update_pps = contention.effective_cpu_update_pps(
-            cpu_update_pps, transfers_overlap=has_dynamic
-        )
-        pcie_pps = contention.effective_pcie_pps(pcie_pps, bidirectional=has_dynamic)
-
+    # The staged payload is p/m/v (3 * params), plus the gradients when they
+    # were flushed to the host (4 * params): slot offset 1 or 2 from the size.
+    prefetch_multiple = 1 if gradients_on_gpu else 2
     position_of = {index: position for position, index in enumerate(dynamic_gpu)}
     gpu_update_ops: dict[int, int] = {}
     prefetch_ops: dict[int, int] = {}
@@ -468,6 +486,7 @@ def build_interleaved_update_rows(
         rows_append((f"prefetch_in[{index}]", OpKind.H2D, "pcie.h2d",
                      payload_params / pcie_pps, deps, phase, index,
                      payload, staged_subgroup_bytes))
+        slots_append((SCALAR_SLOTS + 3 * index + prefetch_multiple, CONTENDED_PCIE_PPS))
         op_ids_append(prefetch_id)
         prefetch_ops[index] = prefetch_id
         nonlocal h2d_bytes
@@ -475,16 +494,19 @@ def build_interleaved_update_rows(
 
     def emit_gpu_update(index: int, extra_deps: tuple[int, ...] = ()) -> tuple[int, int]:
         params = subgroup_params[index]
+        size = SCALAR_SLOTS + 3 * index
         deps = start_deps + extra_deps
         if index in grad_ready_ops:
             deps += (grad_ready_ops[index],)
         update_id = len(rows)
         rows_append((f"gpu_update[{index}]", OpKind.GPU_UPDATE, "gpu.compute",
                      params / gpu_update_pps, deps, phase, index, 0, 0))
+        slots_append((size, GPU_UPDATE_PPS))
         op_ids_append(update_id)
         convert_id = len(rows)
         rows_append((f"gpu_downscale[{index}]", OpKind.GPU_CONVERT, "gpu.compute",
                      params / gpu_convert_pps, (update_id,), phase, index, 0, 0))
+        slots_append((size, GPU_CONVERT_PPS))
         op_ids_append(convert_id)
         return update_id, convert_id
 
@@ -508,6 +530,7 @@ def build_interleaved_update_rows(
             rows_append((f"flush_out[{index}]", OpKind.D2H, "pcie.d2h",
                          3 * params / pcie_pps, (update_id,), phase, index,
                          payload, -staged_subgroup_bytes))
+            slots_append((SCALAR_SLOTS + 3 * index + 1, CONTENDED_PCIE_PPS))
             op_ids_append(flush_id)
             d2h_bytes += payload
             if position + 1 < len(dynamic_gpu):
@@ -522,6 +545,7 @@ def build_interleaved_update_rows(
             result.per_subgroup_done[index] = convert_id
             continue
 
+        size = SCALAR_SLOTS + 3 * index
         deps = start_deps
         if previous_cpu_op is not None:
             deps += (previous_cpu_op,)
@@ -530,16 +554,19 @@ def build_interleaved_update_rows(
         update_id = len(rows)
         rows_append((f"cpu_update[{index}]", OpKind.CPU_UPDATE, "cpu",
                      params / cpu_update_pps, deps, phase, index, 0, 0))
+        slots_append((size, CONTENDED_CPU_UPDATE_PPS))
         op_ids_append(update_id)
         downscale_id = len(rows)
         rows_append((f"cpu_downscale[{index}]", OpKind.CPU_DOWNSCALE, "cpu",
                      params / cpu_downscale_pps, (update_id,), phase, index, 0, 0))
+        slots_append((size, CPU_DOWNSCALE_PPS))
         op_ids_append(downscale_id)
         copy_id = len(rows)
         payload = params * FP16
         rows_append((f"h2d_params_fp16[{index}]", OpKind.H2D, "pcie.h2d",
                      params / (2.0 * pcie_pps), (downscale_id,), phase, index,
                      payload, 0))
+        slots_append((size, CONTENDED_PCIE_PPS_X2))
         op_ids_append(copy_id)
         h2d_bytes += payload
         previous_cpu_op = update_id

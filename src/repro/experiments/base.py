@@ -18,13 +18,16 @@ from repro.runtime import ExecutionPolicy, policy_context
 from repro.sim.engine import STANDARD_RESOURCE_NAMES
 from repro.sweep import Scenario, SweepRunner, SweepSpec
 from repro.sweep.batching import PreparedCase, register_batchable
-from repro.training.config import TrainingJobConfig
+from repro.training.config import ResolvedJob, TrainingJobConfig
 from repro.training.metrics import TrainingReport, format_table
 from repro.training.simulation import (
+    PreparedSimulation,
     breakdown_index_plans,
+    duration_terms,
     finalize_simulation,
     prepare_simulation,
     stacked_breakdowns,
+    topology_key,
 )
 from repro.training.trainer import Trainer
 
@@ -151,18 +154,35 @@ def run_training(
 
 
 # --------------------------------------------------------------- shape batching
-# The sweep-batching adapter for run_training: prepare builds the op rows
-# without scheduling them, finalize_group turns one stacked schedule back into
-# per-scenario TrainingReports.  Registered at the bottom of this module, so
-# any process that can import run_training (pool workers, cluster daemons)
-# rediscovers the adapter automatically.
+# The sweep-batching adapter for run_training: prepare resolves the job into a
+# topology key and a duration term vector, build turns a template member into
+# op rows, finalize_group turns one stacked schedule back into per-scenario
+# TrainingReports.  Registered at the bottom of this module, so any process
+# that can import run_training (pool workers, cluster daemons) rediscovers the
+# adapter automatically.
 
 
-def _prepare_training_case(**params):
+@dataclass
+class _TrainingCase:
+    """The payload of one prepared :func:`run_training` scenario.
+
+    ``prepared`` is set once :func:`_build_training_case` built the case's
+    rows (a group template, or a member of a group too small to stack).
+    """
+
+    trainer: Trainer
+    job: ResolvedJob
+    iterations: int
+    policy: ExecutionPolicy
+    prepared: PreparedSimulation | None = None
+
+
+def _prepare_training_case(policy, **params):
     """Prepare one :func:`run_training` scenario for shape-batched scheduling.
 
-    Returns a :class:`~repro.sweep.batching.PreparedCase`, or — for a
-    scenario that runs out of memory at resolution — the finished
+    Returns a :class:`~repro.sweep.batching.PreparedCase` carrying the job's
+    topology key and duration term vector — no op row is built here — or, for
+    a scenario that runs out of memory at resolution, the finished
     :class:`~repro.training.metrics.TrainingReport` itself, computed exactly
     as :func:`run_training` would.
     """
@@ -172,23 +192,22 @@ def _prepare_training_case(**params):
     except OutOfMemoryError as exc:
         return trainer.oom_report(exc)
     iterations = max(1, min(trainer.simulated_iterations, trainer.config.iterations))
-    prepared = prepare_simulation(job, iterations)
-    # The shape key only fingerprints op topology; the salt pre-partitions
-    # groups by everything else that must match for one compiled plan to
-    # serve all members (bookkeeping structure follows strategy + iteration
-    # count; the op count is a cheap extra guard).
-    salt = f"{job.strategy.name}|{iterations}|{prepared.op_count}"
-    batch = prepared.batch
-    # Hand the batch to the group runner via the case only: the payload must
-    # not pin it, so each scenario's row tuples can be collected as soon as
-    # their duration column is extracted (see PreparedCase).
-    prepared.batch = None
     return PreparedCase(
-        batch=batch,
+        key=topology_key(job, iterations),
+        terms=duration_terms(job),
         resource_names=STANDARD_RESOURCE_NAMES,
-        salt=salt,
-        payload=(trainer, job, prepared),
+        payload=_TrainingCase(trainer, job, iterations, policy),
     )
+
+
+def _build_training_case(case: _TrainingCase):
+    """Build one prepared scenario's op rows (see ``BatchAdapter.build``)."""
+    prepared = prepare_simulation(case.job, case.iterations, policy=case.policy)
+    batch = prepared.batch
+    # The rows live on in the stacked schedule (or the solo run) only.
+    prepared.batch = None
+    case.prepared = prepared
+    return batch
 
 
 def _finalize_training_group(payloads, stacked):
@@ -197,21 +216,30 @@ def _finalize_training_group(payloads, stacked):
     Breakdowns are computed for the whole group in one vectorised pass (op ids
     are row indices, shared by every member of a shape group), then each
     scenario's report aggregates them exactly like the per-scenario path —
-    same floats, same JSON.
+    same floats, same JSON.  Members that never built rows take the
+    template's op bookkeeping, which names the same row indices; their
+    schedules read the template's rows for op metadata, their own columns
+    for times.
     """
-    _, _, representative = payloads[0]
-    plans = breakdown_index_plans(representative.records)
+    template = payloads[0].prepared
+    plans = breakdown_index_plans(template.records)
     group_breakdowns = stacked_breakdowns(plans, stacked.starts, stacked.ends)
     reports = []
-    for scenario_index, (trainer, job, prepared) in enumerate(payloads):
-        schedule = stacked.schedule_for(scenario_index)
+    for scenario_index, case in enumerate(payloads):
+        prepared = case.prepared or PreparedSimulation(
+            job=case.job,
+            policy=case.policy,
+            batch=None,
+            records=template.records,
+            op_count=template.op_count,
+        )
         result = finalize_simulation(
             prepared,
-            schedule,
+            stacked.schedule_for(scenario_index),
             scheduler="vector",
             breakdowns=group_breakdowns[scenario_index],
         )
-        reports.append(trainer.report_from_simulation(job, result))
+        reports.append(case.trainer.report_from_simulation(case.job, result))
     return reports
 
 
@@ -308,5 +336,6 @@ def model_sweep(
 register_batchable(
     run_training,
     prepare=_prepare_training_case,
+    build=_build_training_case,
     finalize_group=_finalize_training_group,
 )

@@ -30,6 +30,9 @@ full ``simulate_job`` pipeline of every offloading strategy.
 Hot builders (the per-subgroup loops of the training simulation) bypass
 :meth:`OpBatch.add_op` and append row tuples directly via ``batch.rows.append`` —
 the method exists for generic callers and tests, the row layout is the actual API.
+Beside each row they also append its duration's slot pair to
+:attr:`OpBatch.term_slots`, which makes a built batch the *template* of every
+scenario sharing its topology (see :mod:`repro.core.duration_terms`).
 """
 
 from __future__ import annotations
@@ -90,12 +93,17 @@ class OpBatch:
     per object, at a fraction of the cost.
     """
 
-    __slots__ = ("rows", "release_times")
+    __slots__ = ("rows", "release_times", "term_slots")
 
     def __init__(self) -> None:
         self.rows: list[tuple] = []
         #: row index -> earliest allowed start (the ``not_before`` of eager submission).
         self.release_times: dict[int, float] = {}
+        #: Per row, the (numerator, denominator) slots of its duration in a
+        #: scenario's term vector (:mod:`repro.core.duration_terms`).  The
+        #: training builders record one pair per row; other builders record
+        #: none, and a batch without a pair for every row has no template.
+        self.term_slots: list[tuple[int, int]] = []
 
     def __len__(self) -> int:
         return len(self.rows)

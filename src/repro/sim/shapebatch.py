@@ -34,6 +34,17 @@ same DAG built at any point of a process's life has the same key.
 Everything that only feeds floats — durations and release-time *values* — is
 deliberately excluded: two scenarios that differ only in durations share a
 key, which is the entire point.
+
+**Sweeps never build a member's rows.**  A :class:`ShapeKey` needs built rows,
+so the sweep path does not compute one: it groups scenarios by a topology key
+derived from each resolved job before any row exists
+(:func:`repro.training.simulation.topology_key`), builds only the first
+member's rows as the group's *template*, and gets every member's duration
+column from :func:`template_columns` — the template's recorded term slots
+gathered and divided over the member's own term vector
+(:mod:`repro.core.duration_terms`).  :func:`shape_key` and
+:func:`scenario_column` remain as the reference the tests hold that key and
+those columns to.
 """
 
 from __future__ import annotations
@@ -194,7 +205,12 @@ class ScenarioColumn:
 
 
 def scenario_column(batch) -> ScenarioColumn:
-    """The :class:`ScenarioColumn` of one op batch."""
+    """The :class:`ScenarioColumn` of one op batch, read off its rows.
+
+    The sweep path never calls this: its members' columns come from
+    :func:`template_columns`.  It is the reference those columns are checked
+    against, byte for byte (``tests/test_shapebatch.py``).
+    """
     require_numpy()
     rows = batch.rows
     n = len(rows)
@@ -202,6 +218,31 @@ def scenario_column(batch) -> ScenarioColumn:
         durations=np.fromiter(map(itemgetter(3), rows), dtype=np.float64, count=n),
         release_times=dict(batch.release_times),
     )
+
+
+def template_columns(batch, terms) -> list[ScenarioColumn]:
+    """Every group member's :class:`ScenarioColumn`, from one template batch.
+
+    ``batch`` is a built representative and ``terms`` one duration term
+    vector per member (:mod:`repro.core.duration_terms`), all of one length.
+    Each member's durations are ``terms[numerator] / terms[denominator]``
+    over the slot pairs the builders recorded — one numpy gather and divide
+    for the whole group, the same IEEE-754 division of the same operands as a
+    fresh build, so the floats are identical.  A template must record a slot
+    pair for every row and carry no release times (it carries durations
+    only); anything else is a :class:`~repro.common.errors.ConfigurationError`.
+    """
+    require_numpy()
+    if len(batch.term_slots) != len(batch.rows) or batch.release_times:
+        raise ConfigurationError(
+            f"a template needs one term-slot pair per row and no release times; "
+            f"this batch has {len(batch.term_slots)} pairs for {len(batch.rows)} rows"
+            f" and {len(batch.release_times)} release times"
+        )
+    slots = np.asarray(batch.term_slots, dtype=np.intp).reshape(-1, 2)
+    matrix = np.asarray(terms, dtype=np.float64)
+    durations = matrix[:, slots[:, 0]] / matrix[:, slots[:, 1]]
+    return [ScenarioColumn(durations=row, release_times={}) for row in durations]
 
 
 @dataclass
@@ -270,10 +311,10 @@ def stack_solo(schedule: VectorSchedule) -> StackedSchedule:
 def schedule_group(plan: ShapePlan, columns) -> StackedSchedule:
     """Schedule every scenario of one shape group in a single stacked pass.
 
-    ``columns`` are the scenarios' :class:`ScenarioColumn` extracts; their
-    batches must all carry ``plan``'s shape (group with :func:`shape_key`
-    first).  The replay performs, per plan step, the kernel's scalar float
-    operations vectorised across scenarios::
+    ``columns`` are the scenarios' :class:`ScenarioColumn` inputs; their
+    scenarios must all carry ``plan``'s shape (group them by a topology key,
+    or by :func:`shape_key`, first).  The replay performs, per plan step, the
+    kernel's scalar float operations vectorised across scenarios::
 
         start = lb[k]  if lb[k] > resource_end  else resource_end
         end   = start + duration[k]

@@ -52,7 +52,8 @@ the runner resolves a backend name from the policy
 :class:`~repro.dispatch.base.TaskOutcome` objects, identical for every
 backend.  Completed results are cached **as they arrive** — the entry pickle
 per outcome (that is what a resumed sweep loads), manifest records in small
-batches — so a sweep killed halfway resumes from everything that finished.
+batches (every 32 scenario outcomes, or once per scenario-group chunk) — so a
+sweep killed halfway resumes from everything that finished.
 
 **Shape batching.**  A worker that registered a batching adapter
 (:func:`repro.sweep.batching.register_batchable`) is dispatched in scenario
@@ -323,7 +324,8 @@ class SweepRunner:
         return [pending[start:start + size] for start in range(0, len(pending), size)]
 
     def _run_batched(self, scenarios: Sequence[Scenario], pending: list[int],
-                     complete: Callable[..., None]) -> None:
+                     complete: Callable[..., None],
+                     flush: Callable[[], None]) -> None:
         """Dispatch ``pending`` as scenario-group tasks through the trampoline.
 
         Each task carries the worker's ``module:qualname`` spec plus a chunk
@@ -332,7 +334,8 @@ class SweepRunner:
         in-process and in pool processes.  Group outcomes
         fan back out into per-scenario completions — the cache and progress
         surfaces never see the difference (each scenario's ``wall_time`` is
-        its chunk's share).
+        its chunk's share).  A chunk's values arrive at once, so its
+        manifest records are merged in one ``flush`` after the chunk.
         """
         spec_name = worker_spec(self.worker)
         chunks = self._group_chunks(pending)
@@ -351,6 +354,7 @@ class SweepRunner:
                     complete(index, outcome.value[position],
                              worker=outcome.worker_id, wall_time=share,
                              attempts=outcome.attempts)
+                flush()
 
     def run(self, spec: SweepSpec | Iterable[Scenario]) -> SweepResult:
         """Execute every scenario and return results in scenario order."""
@@ -378,13 +382,17 @@ class SweepRunner:
         if pending:
             # Entry pickles stream to disk per outcome (that is what a killed
             # sweep resumes from — loads never consult the manifest), while
-            # manifest records batch in memory and flush every
-            # _MANIFEST_FLUSH_EVERY outcomes: one rewrite of a growing JSON
+            # manifest records batch in memory: one rewrite of a growing JSON
             # file per scenario would be quadratic on cluster-scale grids.
-            # The finally flush covers failed sweeps; a hard kill loses at
-            # most one batch of records, which then surface as orphaned (and
-            # evictable) entries in --cache-stats.
+            # Per-scenario outcomes flush every _MANIFEST_FLUSH_EVERY records,
+            # a grouped run once per chunk.  The finally flush covers failed
+            # sweeps; a hard kill loses at most one batch of records, which
+            # then surface as orphaned (and evictable) entries in
+            # --cache-stats.
             manifest_buffer: list[dict] = []
+
+            def flush() -> None:
+                self._flush_manifest(manifest_buffer)
 
             def complete(index: int, value: Any, *, worker: str,
                          wall_time: float, attempts: int) -> None:
@@ -394,8 +402,6 @@ class SweepRunner:
                     path = self._cache_store(scenario, value)
                     if path is not None:
                         manifest_buffer.append(self._manifest_entry(path, scenario))
-                    if len(manifest_buffer) >= _MANIFEST_FLUSH_EVERY:
-                        self._flush_manifest(manifest_buffer)
                 self._emit_progress(
                     index=index, scenario=scenario, cached=False, worker=worker,
                     wall_time=wall_time, attempts=attempts,
@@ -411,7 +417,7 @@ class SweepRunner:
                     attrs={"scenarios": total, "pending": len(pending)},
                 ):
                     if self._dispatches_groups():
-                        self._run_batched(scenarios, pending, complete)
+                        self._run_batched(scenarios, pending, complete, flush)
                     else:
                         tasks = [Task(index=index, params=scenarios[index].as_dict())
                                  for index in pending]
@@ -421,8 +427,10 @@ class SweepRunner:
                                          worker=outcome.worker_id,
                                          wall_time=outcome.wall_time,
                                          attempts=outcome.attempts)
+                                if len(manifest_buffer) >= _MANIFEST_FLUSH_EVERY:
+                                    flush()
             finally:
-                self._flush_manifest(manifest_buffer)
+                flush()
 
         fresh = set(pending)
         records = [

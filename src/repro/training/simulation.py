@@ -36,6 +36,15 @@ from dataclasses import dataclass, field
 
 from repro.common.errors import ConfigurationError
 from repro.common.units import GB
+from repro.core.duration_terms import (
+    BACKWARD_TIME,
+    COLLECTIVE_TIME,
+    FORWARD_CHUNKS,
+    FORWARD_TIME,
+    GATHER_TIME,
+    SUBGROUPS,
+    term_vector,
+)
 from repro.core.gradient_flush import GradientFlushOps
 from repro.core.sim_executor import UpdatePhaseOps
 from repro.model.flops import backward_compute_seconds, forward_compute_seconds
@@ -172,6 +181,53 @@ def _iteration_compute_times(job: ResolvedJob) -> tuple[float, float, float, flo
     return forward, backward, gather, reduce
 
 
+def _forward_chunks(job: ResolvedJob) -> int:
+    """Forward chunks of one iteration (at most one per layer)."""
+    return min(job.config.forward_chunks, job.model.num_layers)
+
+
+def duration_terms(job: ResolvedJob) -> "np.ndarray":
+    """``job``'s duration term vector (:mod:`repro.core.duration_terms`).
+
+    Every row :func:`build_iteration_rows` emits for ``job`` has the duration
+    ``terms[a] / terms[b]`` for the slot pair ``(a, b)`` it records in
+    ``batch.term_slots``, bit for bit.  So the duration column of any job
+    with the same :func:`topology_key` comes from one representative's slots
+    and this vector, without building a row.
+    """
+    return term_vector(
+        _iteration_compute_times(job),
+        _forward_chunks(job),
+        job.profile,
+        job.plan,
+        job.contention,
+        job.subgroup_params,
+    )
+
+
+def topology_key(job: ResolvedJob, iterations: int) -> tuple:
+    """What fixes the rows of ``iterations`` chained iterations, bar the durations.
+
+    Two jobs with equal keys get the same rows in the same order — same
+    resources, dependency edges and duration slots — so one built batch is
+    the template of both: the strategy's row-builder identity
+    (:meth:`~repro.core.engine.OffloadStrategy.template_key`), the iteration
+    count, the forward chunks, and the update plan's per-subgroup GPU/CPU
+    target with its static residents.  The plan's assignment reasons follow
+    from those two (a GPU subgroup is a resident or a stride hit), and the
+    target count is the subgroup count.  Computed from the resolved job,
+    before any row exists.
+    """
+    plan = job.plan
+    return (
+        job.strategy.template_key(),
+        iterations,
+        _forward_chunks(job),
+        bytes(item.on_gpu for item in plan.assignments),
+        tuple(sorted(plan.static_residents)),
+    )
+
+
 def build_iteration(
     engine: SimEngine,
     job: ResolvedJob,
@@ -300,8 +356,10 @@ def build_iteration_rows(
     kinds, durations, dependency tuples and op order as the eager builder, with
     no per-op ``SimOp`` construction or per-subgroup strategy-call overhead.
     Each op's id is the index of its row (``len(rows)`` just before the
-    append).  The emitted stream must stay bit-identical to the eager one; the
-    golden tests compare the two schedules field by field.
+    append), and beside each row goes its duration's slot pair in
+    ``batch.term_slots`` (see :func:`duration_terms`).  The emitted stream
+    must stay bit-identical to the eager one; the golden tests compare the
+    two schedules field by field.
     """
     record = IterationOps(index=iteration_index)
     record.blocks_backward = job.strategy.flush_blocks_backward()
@@ -309,10 +367,11 @@ def build_iteration_rows(
 
     model = job.model
     footprint = job.footprint
-    n_forward_chunks = min(job.config.forward_chunks, model.num_layers)
+    n_forward_chunks = _forward_chunks(job)
     activation_per_chunk = footprint.activation_bytes // n_forward_chunks
     rows = batch.rows
     rows_append = rows.append
+    slots_append = batch.term_slots.append
 
     # ------------------------------------------------------------------ forward
     gather_duration = gather_time / n_forward_chunks
@@ -323,11 +382,13 @@ def build_iteration_rows(
         rows_append((f"it{iteration_index}.fwd_allgather[{chunk}]", OpKind.ALLGATHER,
                      "nvlink", gather_duration, start_deps if chunk == 0 else (),
                      "forward", None, 0, 0))
+        slots_append((GATHER_TIME, FORWARD_CHUNKS))
         compute_id = len(rows)
         compute_deps = (gather_id,) + start_deps if chunk == 0 else (gather_id,)
         rows_append((f"it{iteration_index}.fwd_compute[{chunk}]", OpKind.GPU_COMPUTE,
                      "gpu.compute", forward_duration, compute_deps, "forward", None,
                      0, activation_per_chunk))
+        slots_append((FORWARD_TIME, FORWARD_CHUNKS))
         record.forward_ops.extend([gather_id, compute_id])
         record.forward_compute_ops.append(compute_id)
         previous_compute = compute_id
@@ -364,6 +425,7 @@ def build_iteration_rows(
                      OpKind.GPU_COMPUTE, "gpu.compute", backward_duration,
                      compute_deps, "backward", subgroup_index, 0,
                      -activation_free_per_chunk + params * fp16))
+        slots_append((BACKWARD_TIME, SUBGROUPS))
         backward_append(compute_id)
         previous_compute = compute_id
 
@@ -371,6 +433,7 @@ def build_iteration_rows(
         rows_append((f"it{iteration_index}.bwd_reduce_scatter[{subgroup_index}]",
                      OpKind.REDUCE_SCATTER, "nvlink", reduce_duration,
                      (compute_id,), "backward", subgroup_index, 0, 0))
+        slots_append((COLLECTIVE_TIME, SUBGROUPS))
 
         grad_ready, blocking = emit_flush(flush, subgroup_index, params, reduce_id)
         grad_ready_deps[subgroup_index] = grad_ready

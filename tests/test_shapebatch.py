@@ -6,6 +6,10 @@ Three layers of guarantees:
   the scheduling topology: duration and release-time *value* changes never
   change a key; resource, dependency-edge or release-*structure* changes
   always do; building the same shape later in the process's life does not.
+  The training adapter's topology key, computed before any row exists,
+  partitions scenarios exactly as ``shape_key`` of their freshly built rows
+  does, and the duration column a template evaluates for each member equals
+  the member's own rows' durations byte for byte.
 * **kernel layer** — :func:`~repro.sim.shapebatch.schedule_group` over one
   compiled :func:`~repro.sim.shapebatch.compile_plan` must be byte-identical,
   scenario for scenario, to solo runs of both scheduler kernels (vector and
@@ -20,8 +24,11 @@ Three layers of guarantees:
 
 import json
 import random
+from collections import defaultdict
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.experiments.base import run_training
@@ -37,10 +44,17 @@ from repro.sim.shapebatch import (
     schedule_group,
     shape_key,
     stack_solo,
+    template_columns,
 )
+from repro.runtime import SIMULATION_FIELDS
 from repro.sweep import Scenario, SweepRunner, SweepSpec
-from repro.sweep import batching
-from repro.sweep.batching import STACK_MIN_SCENARIOS, is_batchable, run_scenario_group
+from repro.sweep import batching, cache, runner
+from repro.sweep.batching import (
+    STACK_MIN_SCENARIOS,
+    PreparedCase,
+    is_batchable,
+    run_scenario_group,
+)
 from repro.sweep.result import SweepRecord, SweepResult
 
 RESOURCES = ("cpu", "gpu", "link", "pcie.h2d", "pcie.d2h")
@@ -173,14 +187,127 @@ def test_shape_key_is_structured():
 
 
 def test_training_scenarios_differing_in_knob_values_share_a_key():
+    cases = [_prepared(**TRAIN_BASE, cpu_cores_per_gpu=cores) for cores in (4, 16)]
+    assert cases[0].key == cases[1].key
+    assert cases[0].terms.tobytes() != cases[1].terms.tobytes()
+    batches = [_fresh_rows(case) for case in cases]
+    assert shape_key(batches[0]) == shape_key(batches[1])
+
+
+# ------------------------------------------------------- topology-key soundness
+# The group runner trusts the training adapter's topology key to stand for the
+# shape of rows it never builds.  The reference is what the runner grouped by
+# before templates: the strategy, iteration count and op count, plus
+# shape_key() of each scenario's freshly built rows.
+
+
+def _prepared(**params) -> PreparedCase:
     from repro.experiments.base import _prepare_training_case
 
-    cases = [
-        _prepare_training_case(**TRAIN_BASE, cpu_cores_per_gpu=cores)
-        for cores in (4, 16)
-    ]
-    assert shape_key(cases[0].batch) == shape_key(cases[1].batch)
-    assert cases[0].salt == cases[1].salt
+    policy = ExecutionPolicy.resolve(env_fields=SIMULATION_FIELDS)
+    return _prepare_training_case(policy, **params)
+
+
+def _fresh_rows(case: PreparedCase) -> OpBatch:
+    from repro.experiments.base import _build_training_case
+
+    return _build_training_case(case.payload)
+
+
+def assert_key_is_sound(scenarios) -> int:
+    """Check the topology key against fresh rows; return the group count.
+
+    The key must partition the prepared scenarios exactly like the reference,
+    and each group's template (its first member's rows) must evaluate every
+    member's duration column to the bytes of that member's own rows.
+    """
+    refs_of_key = defaultdict(set)
+    keys_of_ref = defaultdict(set)
+    members = defaultdict(list)
+    for params in scenarios:
+        case = _prepared(**params)
+        if not isinstance(case, PreparedCase):  # out of memory: never grouped
+            continue
+        batch = _fresh_rows(case)
+        salt = (case.payload.job.strategy.name, case.payload.iterations, len(batch.rows))
+        ref = (salt, shape_key(batch))
+        key = (case.key, case.resource_names)
+        refs_of_key[key].add(ref)
+        keys_of_ref[ref].add(key)
+        members[key].append((case.terms, batch))
+    assert all(len(refs) == 1 for refs in refs_of_key.values()), "key merges shapes"
+    assert all(len(keys) == 1 for keys in keys_of_ref.values()), "key splits a shape"
+    for group in members.values():
+        template = group[0][1]
+        columns = template_columns(template, [terms for terms, _ in group])
+        for column, (_, batch) in zip(columns, group):
+            assert column.durations.tobytes() == scenario_column(batch).durations.tobytes()
+    return len(members)
+
+
+@pytest.fixture(scope="module")
+def experiment_scenarios():
+    """Every scenario the 21 experiments' sweeps hand to the group runner."""
+    from repro.experiments import EXPERIMENT_MODULES
+    from repro.experiments.base import run_experiment
+
+    captured = []
+    original = runner.run_scenario_group
+
+    def capturing(*, worker, scenarios):
+        captured.extend(dict(params) for params in scenarios)
+        return original(worker=worker, scenarios=scenarios)
+
+    policy = ExecutionPolicy.resolve(jobs=1, use_cache=False)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner, "run_scenario_group", capturing)
+        for experiment_id in EXPERIMENT_MODULES:
+            run_experiment(experiment_id, policy=policy)
+    return captured
+
+
+#: Deep Optimizer States at stride 2 over 7B's 17 subgroups: static fractions
+#: 0.1 and 0.12 pin {16} and {15, 16}.  Subgroup 15 is a stride hit, so both
+#: plans put the same subgroups on the GPU; only the residents tell apart two
+#: different op graphs (a resident is not prefetched).
+RESIDENT_ONLY_PAIR = [
+    {"model": "7B", "strategy": "deep-optimizer-states", "update_stride": 2,
+     "static_gpu_fraction": fraction, "iterations": 2}
+    for fraction in (0.1, 0.12)
+]
+
+
+def test_topology_key_partitions_the_experiment_sweeps_like_fresh_rows(
+    experiment_scenarios,
+):
+    assert len(experiment_scenarios) > 100
+    groups = assert_key_is_sound(experiment_scenarios)
+    assert groups < len(experiment_scenarios)
+
+
+def test_topology_key_tells_static_residents_apart():
+    first, second = (_prepared(**params) for params in RESIDENT_ONLY_PAIR)
+    assert first.key[3] == second.key[3]  # the same GPU/CPU targets
+    assert first.key != second.key
+    assert assert_key_is_sound(RESIDENT_ONLY_PAIR) == 2
+
+
+_TRAINING_PARAMS = st.fixed_dictionaries({
+    "model": st.sampled_from(["7B", "10B"]),
+    "strategy": st.sampled_from(["deep-optimizer-states", "twinflow", "zero3-offload"]),
+    "static_gpu_fraction": st.sampled_from([0.0, 0.06, 0.1, 0.12, 0.3]),
+    "update_stride": st.sampled_from([0, 2, 3]),
+    "microbatch_size": st.sampled_from([1, 2, 16]),
+    "cpu_cores_per_gpu": st.sampled_from([None, 4, 16]),
+    "iterations": st.just(2),
+})
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_TRAINING_PARAMS, min_size=2, max_size=6))
+@example(RESIDENT_ONLY_PAIR)
+def test_topology_key_partitions_drawn_scenarios_like_fresh_rows(scenarios):
+    assert_key_is_sound(scenarios)
 
 
 # ----------------------------------------------------------- stacked schedules
@@ -401,3 +528,108 @@ def test_batch_mode_emits_one_progress_event_per_scenario():
     assert all(event["total"] == 4 for event in events)
     assert all(not event["cached"] for event in events)
     assert all(event["wall_time"] >= 0.0 for event in events)
+
+
+def test_topology_key_tells_template_slot_choices_apart():
+    # Flushing gradients to the host stages them back with p/m/v: the same op
+    # graph as keeping them on the GPU, but the prefetch divides 4 * p instead
+    # of 3 * p, so the two must not share a template.
+    from repro.core.engine import DeepOptimizerStates, DeepOptimizerStatesConfig
+    from repro.training.config import TrainingJobConfig
+    from repro.training.simulation import duration_terms, prepare_simulation, topology_key
+
+    jobs = [
+        TrainingJobConfig(
+            model="7B", iterations=2, warmup_iterations=0,
+            strategy=DeepOptimizerStates(DeepOptimizerStatesConfig(
+                update_stride=2, keep_gpu_scheduled_gradients_on_gpu=keep)),
+        ).resolve()
+        for keep in (True, False)
+    ]
+    batches = [prepare_simulation(job, 2).batch for job in jobs]
+    assert shape_key(batches[0]) == shape_key(batches[1])
+    assert topology_key(jobs[0], 2) != topology_key(jobs[1], 2)
+    for job, batch in zip(jobs, batches):
+        (column,) = template_columns(batch, [duration_terms(job)])
+        assert column.durations.tobytes() == scenario_column(batch).durations.tobytes()
+
+
+def test_stacked_members_never_build_rows(monkeypatch):
+    from repro.experiments import base
+
+    built = []
+    original = base.prepare_simulation
+
+    def counting(job, iterations, **kwargs):
+        prepared = original(job, iterations, **kwargs)
+        built.append(prepared.op_count)
+        return prepared
+
+    monkeypatch.setattr(base, "prepare_simulation", counting)
+    spec = _grid(range(2, 10))
+    result = SweepRunner(run_training, use_cache=False).run(spec)
+    assert len(built) == 1  # the template only
+    assert _projection(result) == _projection(_per_scenario(run_training, spec))
+
+
+def test_a_batched_chunk_resolves_the_policy_once(monkeypatch):
+    calls = []
+    original = ExecutionPolicy.resolve.__func__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(kwargs.get("env_fields"))
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(ExecutionPolicy, "resolve", classmethod(counting))
+    scenarios = [{**TRAIN_BASE, "cpu_cores_per_gpu": cores} for cores in range(2, 66)]
+    values = run_scenario_group(
+        worker=f"{run_training.__module__}:{run_training.__qualname__}",
+        scenarios=scenarios,
+    )
+    assert len(values) == 64
+    assert calls == [SIMULATION_FIELDS]
+
+
+def _manifest_without_timestamps(cache_dir) -> dict:
+    manifest = cache.load_manifest(cache_dir)
+    for entry in manifest["entries"].values():
+        entry.pop("created_at")
+    return manifest
+
+
+def test_batched_sweep_merges_the_manifest_once_per_chunk(tmp_path, monkeypatch):
+    merges = []
+    original = cache.record_entries
+
+    def counting(cache_dir, entries):
+        entries = list(entries)
+        merges.append(len(entries))
+        return original(cache_dir, entries)
+
+    monkeypatch.setattr(runner, "record_entries", counting)
+    spec = _grid(range(2, 42))
+    SweepRunner(run_training, use_cache=True, cache_dir=tmp_path / "grouped").run(spec)
+    assert merges == [40]  # one serial chunk
+
+    # The per-scenario path streams records in batches of 32; the manifest
+    # it leaves is the same but for the creation stamps.
+    merges.clear()
+    monkeypatch.setattr(SweepRunner, "_dispatches_groups", lambda self: False)
+    SweepRunner(run_training, use_cache=True, cache_dir=tmp_path / "single").run(spec)
+    assert merges == [32, 8]
+    assert _manifest_without_timestamps(tmp_path / "grouped") == \
+        _manifest_without_timestamps(tmp_path / "single")
+
+
+def test_template_columns_need_a_slot_pair_per_row_and_no_release_times():
+    topology = random_topology(random.Random(6), 10)
+    batch = batch_from(topology, random.Random(0))  # add_op records no slots
+    with pytest.raises(ConfigurationError, match="one term-slot pair per row"):
+        template_columns(batch, [[1.0, 2.0]])
+    batch.term_slots.extend([(0, 1)] * len(batch))
+    batch.release_times[3] = 0.5
+    with pytest.raises(ConfigurationError, match="no release times"):
+        template_columns(batch, [[1.0, 2.0]])
+    batch.release_times.clear()
+    (column,) = template_columns(batch, [[1.0, 2.0]])
+    assert column.durations.tolist() == [0.5] * len(batch)
